@@ -231,10 +231,11 @@ void BM_BasicSolveThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_BasicSolveThreads)->Args({4, 1})->Args({4, 4});
 
-// The preprocessing pipeline itself ((k-1)-core + triangle-support
-// fixpoint + compaction). Args are {k, sparse}: sparse == 1 runs the
-// prunable sparse-social instance (the win case), sparse == 0 the dense
-// WS graph (the overhead case — nothing peels, ~10% of edges drop).
+// The preprocessing pipeline itself (degeneracy order + (k-1)-core peel +
+// compaction). Args are {k, sparse}: sparse == 1 runs the prunable
+// sparse-social instance (the win case), sparse == 0 the dense WS graph
+// (the overhead case — nothing peels, so the cost is the degeneracy order
+// the solver would compute anyway, plus one graph copy).
 void BM_Preprocess(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   dkc::Graph g = state.range(1) != 0 ? MakeSparseSocial(k) : MakeWs(2000, 16);
@@ -299,8 +300,8 @@ BENCHMARK(BM_CountKCliquesPrepruned)
 
 // End-to-end HG through the facade on the sparse-social instance; args
 // are {k, preprocess}. HG's sweep is first-hit and skips low-out-degree
-// roots already, so preprocessing trades its pipeline for the full-graph
-// DAG build — record both sides of that trade.
+// roots already, so the peel's win is the smaller DAG build over the
+// shrunk graph — record both sides of that trade.
 void BM_BasicSolvePrepruned(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   dkc::Graph g = MakeSparseSocial(k);

@@ -37,8 +37,8 @@ struct SolverOptions {
   /// reduction or an order-insensitive one).
   ThreadPool* pool = nullptr;
   /// Graph-shrinking preprocessing (graph/preprocess.h): run the solver on
-  /// the (k-1)-core + triangle-support fixpoint of the input and report the
-  /// solution back in original node ids. The pruned graph is oriented by
+  /// the (k-1)-core of the input and report the solution back in original
+  /// node ids. The pruned graph is oriented by
   /// the original degeneracy order restricted to the survivors, so every
   /// method's solution is byte-identical with this on or off — the
   /// differential harness asserts it. Accounting lands in

@@ -1,6 +1,5 @@
 #include "graph/preprocess.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -41,7 +40,7 @@ void PeelRange(const Graph& g, Count threshold, NodeId lo, NodeId hi,
   }
 }
 
-// Stage-1 peel driver: computes the (k-1)-core alive set, fanning out over
+// Peel driver: computes the (k-1)-core alive set, fanning out over
 // contiguous node-id ranges when a pool is given (each range touches only
 // its own degree/alive slice — disjoint writes), then applying the buffered
 // cross-range decrements and cascading globally to the fixpoint. The peel
@@ -92,291 +91,6 @@ void PeelLowDegree(const Graph& g, Count threshold, ThreadPool* pool,
   }
 }
 
-// Per-arc undirected edge ids over the original CSR: arc p (the i-th
-// neighbor entry of u) maps to the id of the undirected edge {u, v}, shared
-// with the mirrored arc. Ids are assigned in ascending (min endpoint,
-// max endpoint) order.
-struct EdgeIndex {
-  std::vector<Count> arc_offset;                // n+1 prefix offsets
-  std::vector<Count> edge_of_arc;               // 2m entries
-  std::vector<std::pair<NodeId, NodeId>> ends;  // per edge id, u < v
-
-  explicit EdgeIndex(const Graph& g) {
-    const NodeId n = g.num_nodes();
-    arc_offset.assign(n + 1, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      arc_offset[u + 1] = arc_offset[u] + g.Degree(u);
-    }
-    edge_of_arc.assign(arc_offset[n], 0);
-    ends.reserve(g.num_edges());
-    // Mirror resolution in O(m): as u ascends, the mirrored arc (v, u) for
-    // each v < u sits ever deeper in v's sorted row, so one monotone
-    // cursor per node finds every mirror without searching.
-    std::vector<Count> cursor(arc_offset.begin(), arc_offset.end() - 1);
-    for (NodeId u = 0; u < n; ++u) {
-      const auto neighbors = g.Neighbors(u);
-      for (size_t i = 0; i < neighbors.size(); ++i) {
-        const NodeId v = neighbors[i];
-        if (u < v) {
-          edge_of_arc[arc_offset[u] + i] = ends.size();
-          ends.emplace_back(u, v);
-        } else {
-          const auto row = g.Neighbors(v);
-          while (row[cursor[v] - arc_offset[v]] != u) ++cursor[v];
-          edge_of_arc[arc_offset[u] + i] = edge_of_arc[cursor[v]];
-          ++cursor[v];
-        }
-      }
-    }
-  }
-
-};
-
-// The peel/support fixpoint. Triangle supports are counted by orienting
-// the alive subgraph along the original degeneracy order and intersecting
-// sorted out-lists (each triangle found exactly once, with the edge ids of
-// all three sides carried by the arc positions — no searching). Removals
-// then cascade in whichever of two regimes is cheaper:
-//
-//   * incremental — when few edges are doomed (dense, clique-rich inputs):
-//     each removal walks N(u) ∩ N(v) once and decrements the supports of
-//     its surviving triangle partners, the classical k-truss cascade;
-//   * mass + recount — when most alive edges are doomed at once (sparse,
-//     triangle-poor inputs): decrementing through a graveyard costs more
-//     than recounting, so the doomed set is dropped wholesale and supports
-//     are recounted on what is left.
-//
-// The fixpoint is confluent — each rule only removes elements whose
-// condition can never recover — so the regime choice (and any processing
-// order) cannot change the surviving graph, only the time to reach it.
-class PruneState {
- public:
-  /// `rank` gives each node's position in the ORIGINAL graph's degeneracy
-  /// order (only comparisons are used); restricting that order to the
-  /// alive subgraph keeps every out-degree bounded by the original
-  /// degeneracy, so it serves as the count orientation in every round
-  /// without re-peeling.
-  PruneState(const Graph& g, const EdgeIndex& edges, int k,
-             const std::vector<NodeId>& rank, PreprocessStats* stats)
-      : g_(g),
-        edges_(edges),
-        k_(k),
-        rank_(rank),
-        stats_(stats),
-        node_alive_(g.num_nodes(), 1),
-        edge_alive_(g.num_edges(), 1),
-        node_queued_(g.num_nodes(), 0),
-        edge_queued_(g.num_edges(), 0),
-        degree_(g.num_nodes(), 0),
-        alive_edges_(g.num_edges()) {
-    for (NodeId u = 0; u < g.num_nodes(); ++u) degree_[u] = g.Degree(u);
-  }
-
-  bool NodeAlive(NodeId u) const { return node_alive_[u] != 0; }
-  bool EdgeAlive(Count e) const { return edge_alive_[e] != 0; }
-
-  void Run() {
-    const Count node_threshold = static_cast<Count>(k_) - 1;
-    const Count support_threshold = static_cast<Count>(k_) - 2;
-    for (NodeId u = 0; u < g_.num_nodes(); ++u) {
-      if (degree_[u] < node_threshold) EnqueueNode(u);
-    }
-    // The initial (k-1)-core cascade runs before supports exist — pure
-    // degree bookkeeping, no triangle walks.
-    DrainNodes();
-    for (;;) {
-      if (alive_edges_ == 0) {
-        if (stats_->rounds == 0) ++stats_->rounds;
-        break;
-      }
-      // One exact triangle count over the alive subgraph seeds (or
-      // re-seeds) the doomed-edge worklist. rounds counts these passes.
-      ++stats_->rounds;
-      CountSupports();
-      for (Count e = 0; e < edge_alive_.size(); ++e) {
-        if (edge_alive_[e] != 0 && support_[e] < support_threshold) {
-          EnqueueEdge(e);
-        }
-      }
-      if (edge_queue_.empty()) break;  // fixpoint certified
-      if (edge_queue_.size() * 4 > alive_edges_) {
-        // Mass regime: most of what is alive dies right now. Drop it all
-        // without per-removal walks (supports go stale), re-peel, recount.
-        support_valid_ = false;
-        DrainEdges();
-        DrainNodes();
-        std::fill(edge_queued_.begin(), edge_queued_.end(), 0);
-        continue;
-      }
-      // Incremental regime: exact support maintenance drives the cascade
-      // to the fixpoint in one pass — no further recount needed.
-      while (!edge_queue_.empty() || !node_queue_.empty()) {
-        DrainEdges();
-        DrainNodes();
-      }
-      break;
-    }
-  }
-
- private:
-  void EnqueueNode(NodeId u) {
-    if (node_queued_[u] == 0 && node_alive_[u] != 0) {
-      node_queued_[u] = 1;
-      node_queue_.push_back(u);
-    }
-  }
-
-  void EnqueueEdge(Count e) {
-    if (edge_queued_[e] == 0 && edge_alive_[e] != 0) {
-      edge_queued_[e] = 1;
-      edge_queue_.push_back(e);
-    }
-  }
-
-  // Removes edge `e` (must be alive): degrees drop on both ends (possibly
-  // enqueueing peels) and — while supports are being maintained exactly —
-  // each surviving triangle through `e` loses one support on its two other
-  // edges.
-  void RemoveEdge(Count e, bool peeled) {
-    edge_alive_[e] = 0;
-    --alive_edges_;
-    if (peeled) {
-      ++stats_->peeled_edges;
-    } else {
-      ++stats_->unsupported_edges;
-    }
-    const auto [u, v] = edges_.ends[e];
-    const Count node_threshold = static_cast<Count>(k_) - 1;
-    for (NodeId x : {u, v}) {
-      if (node_alive_[x] != 0 && --degree_[x] < node_threshold) {
-        EnqueueNode(x);
-      }
-    }
-    if (!support_valid_) return;
-    // Alive common neighbors of (u, v) via a two-pointer walk over the
-    // original sorted rows, skipping dead arcs; tracking the arc positions
-    // yields the edge ids of both triangle partners with no searching.
-    const Count support_threshold = static_cast<Count>(k_) - 2;
-    const auto un = g_.Neighbors(u);
-    const auto vn = g_.Neighbors(v);
-    const Count* u_eids = edges_.edge_of_arc.data() + edges_.arc_offset[u];
-    const Count* v_eids = edges_.edge_of_arc.data() + edges_.arc_offset[v];
-    size_t i = 0, j = 0;
-    while (i < un.size() && j < vn.size()) {
-      if (un[i] < vn[j]) {
-        ++i;
-      } else if (un[i] > vn[j]) {
-        ++j;
-      } else {
-        const Count uw = u_eids[i];
-        const Count vw = v_eids[j];
-        if (edge_alive_[uw] != 0 && edge_alive_[vw] != 0) {
-          if (--support_[uw] < support_threshold) EnqueueEdge(uw);
-          if (--support_[vw] < support_threshold) EnqueueEdge(vw);
-        }
-        ++i;
-        ++j;
-      }
-    }
-  }
-
-  void DrainNodes() {
-    while (!node_queue_.empty()) {
-      const NodeId u = node_queue_.back();
-      node_queue_.pop_back();
-      if (node_alive_[u] == 0) continue;
-      node_alive_[u] = 0;
-      ++stats_->peeled_nodes;
-      const auto neighbors = g_.Neighbors(u);
-      for (size_t i = 0; i < neighbors.size(); ++i) {
-        const Count e = edges_.edge_of_arc[edges_.arc_offset[u] + i];
-        if (edge_alive_[e] != 0) RemoveEdge(e, /*peeled=*/true);
-      }
-      degree_[u] = 0;
-    }
-  }
-
-  void DrainEdges() {
-    while (!edge_queue_.empty()) {
-      const Count e = edge_queue_.back();
-      edge_queue_.pop_back();
-      if (edge_alive_[e] != 0) RemoveEdge(e, /*peeled=*/false);
-    }
-  }
-
-  // Exact triangle supports of the alive subgraph: orient each alive edge
-  // toward lower original-degeneracy rank, keep per-node out-lists as
-  // (neighbor, edge id) pairs — sorted by node id, being subsequences of
-  // the original sorted rows — and intersect out(u) with out(v) for every
-  // directed edge u->v. Each triangle {u,v,w} surfaces exactly once, and
-  // the match positions carry the edge ids of all three sides.
-  void CountSupports() {
-    const NodeId n = g_.num_nodes();
-    const std::vector<NodeId>& rank = rank_;
-    out_off_.assign(n + 1, 0);
-    out_nbr_.clear();
-    out_eid_.clear();
-    for (NodeId u = 0; u < n; ++u) {
-      if (node_alive_[u] != 0) {
-        const auto row = g_.Neighbors(u);
-        const Count* eids = edges_.edge_of_arc.data() + edges_.arc_offset[u];
-        for (size_t i = 0; i < row.size(); ++i) {
-          if (edge_alive_[eids[i]] != 0 && rank[row[i]] < rank[u]) {
-            out_nbr_.push_back(row[i]);
-            out_eid_.push_back(eids[i]);
-          }
-        }
-      }
-      out_off_[u + 1] = out_nbr_.size();
-    }
-    support_.assign(g_.num_edges(), 0);
-    for (NodeId u = 0; u < n; ++u) {
-      for (Count a = out_off_[u]; a < out_off_[u + 1]; ++a) {
-        const NodeId v = out_nbr_[a];
-        Count i = out_off_[u];
-        Count j = out_off_[v];
-        const Count i_end = out_off_[u + 1];
-        const Count j_end = out_off_[v + 1];
-        Count triangles = 0;
-        while (i < i_end && j < j_end) {
-          if (out_nbr_[i] < out_nbr_[j]) {
-            ++i;
-          } else if (out_nbr_[i] > out_nbr_[j]) {
-            ++j;
-          } else {
-            ++support_[out_eid_[i]];
-            ++support_[out_eid_[j]];
-            ++triangles;
-            ++i;
-            ++j;
-          }
-        }
-        support_[out_eid_[a]] += triangles;
-      }
-    }
-    support_valid_ = true;
-  }
-
-  const Graph& g_;
-  const EdgeIndex& edges_;
-  const int k_;
-  const std::vector<NodeId>& rank_;
-  PreprocessStats* stats_;
-  std::vector<uint8_t> node_alive_;
-  std::vector<uint8_t> edge_alive_;
-  std::vector<uint8_t> node_queued_;
-  std::vector<uint8_t> edge_queued_;
-  std::vector<Count> degree_;
-  std::vector<Count> support_;
-  Count alive_edges_ = 0;
-  bool support_valid_ = false;
-  std::vector<NodeId> node_queue_;
-  std::vector<Count> edge_queue_;
-  std::vector<Count> out_off_;   // CountSupports scratch
-  std::vector<NodeId> out_nbr_;
-  std::vector<Count> out_eid_;
-};
-
 }  // namespace
 
 PreprocessResult PreprocessForKCliques(const Graph& g,
@@ -388,142 +102,52 @@ PreprocessResult PreprocessForKCliques(const Graph& g,
   stats.nodes_before = n;
   stats.edges_before = g.num_edges();
 
-  if (options.k < 3) {
-    // k < 3 has no meaningful prune rules (the library's solvers reject it
-    // anyway); pass the graph through with an identity remap.
-    std::vector<Count> offsets(n + 1, 0);
-    std::vector<NodeId> neighbors;
-    result.new_to_old.resize(n);
-    result.old_to_new.resize(n);
-    for (NodeId u = 0; u < n; ++u) {
-      result.new_to_old[u] = u;
-      result.old_to_new[u] = u;
-      const auto row = g.Neighbors(u);
-      neighbors.insert(neighbors.end(), row.begin(), row.end());
-      offsets[u + 1] = neighbors.size();
-    }
-    result.pruned = Graph(std::move(offsets), std::move(neighbors));
-    result.orientation = DegeneracyOrdering(result.pruned);
-    stats.nodes_after = n;
-    stats.edges_after = g.num_edges();
-    stats.rounds = 0;
-    stats.elapsed_ms = timer.ElapsedMillis();
-    return result;
-  }
-
-  // Default mode needs the full graph's degeneracy order (the support
-  // counts orient by it and the survivors inherit its restriction).
-  // Reorder mode skips it — orders are recomputed on the shrunk graphs,
-  // which is the whole point of that mode.
+  // Default mode hands the full graph's degeneracy order on, restricted to
+  // the survivors. Reorder mode skips it — the order is recomputed on the
+  // pruned graph, which is the whole point of that mode.
   Ordering original;
   if (!options.reorder) original = DegeneracyOrdering(g);
 
-  // Stage 1 — pure degree peel, no edge index: one O(n + m) cascade that
-  // removes the low-degree periphery sparse real graphs are mostly made
-  // of. Everything edge-indexed (the support machinery) then runs on the
-  // compacted core only, which is what makes preprocessing cheaper than
-  // the passes it saves even when the core is tiny.
+  // k < 3 has no meaningful prune rule (the library's solvers reject it
+  // anyway): a zero threshold peels nothing and passes the graph through.
+  const Count threshold =
+      options.k < 3 ? 0 : static_cast<Count>(options.k) - 1;
   std::vector<uint8_t> alive(n, 1);
-  PeelLowDegree(g, static_cast<Count>(options.k) - 1, options.pool,
-                options.parallel_peel_min_nodes, &alive);
-  // Order-independent accounting over the finished alive set (shared by the
+  PeelLowDegree(g, threshold, options.pool, options.parallel_peel_min_nodes,
+                &alive);
+
+  // Ascending (order-preserving) remap of the survivors, plus
+  // order-independent accounting over the finished alive set (shared by the
   // serial and partitioned peels): a dead-dead edge is attributed to its
   // lower endpoint, a dead-alive edge to its dead one — each dying edge
   // counted exactly once, no matter which cascade order killed it.
+  result.old_to_new.assign(n, kInvalidNode);
   for (NodeId u = 0; u < n; ++u) {
-    if (alive[u] != 0) continue;
+    if (alive[u] != 0) {
+      result.old_to_new[u] = static_cast<NodeId>(result.new_to_old.size());
+      result.new_to_old.push_back(u);
+      continue;
+    }
     ++stats.peeled_nodes;
     for (NodeId v : g.Neighbors(u)) {
       if (alive[v] != 0 || u < v) ++stats.peeled_edges;
     }
   }
 
-  // Compact the stage-1 survivors into the core graph (skipped entirely
-  // when nothing was peeled), carrying the original ids and the restricted
-  // degeneracy ranks along.
-  Graph core_storage;
-  const Graph* core = &g;
-  std::vector<NodeId> core_to_orig;
-  std::vector<NodeId> core_rank;
-  if (stats.peeled_nodes > 0) {
-    std::vector<NodeId> orig_to_core(n, kInvalidNode);
-    for (NodeId u = 0; u < n; ++u) {
-      if (alive[u] != 0) {
-        orig_to_core[u] = static_cast<NodeId>(core_to_orig.size());
-        core_to_orig.push_back(u);
-      }
-    }
-    const NodeId core_n = static_cast<NodeId>(core_to_orig.size());
-    std::vector<Count> offsets(core_n + 1, 0);
-    std::vector<NodeId> neighbors;
-    if (!options.reorder) core_rank.resize(core_n);
-    for (NodeId cu = 0; cu < core_n; ++cu) {
-      const NodeId u = core_to_orig[cu];
-      if (!options.reorder) core_rank[cu] = original.rank[u];
-      for (NodeId v : g.Neighbors(u)) {
-        if (alive[v] != 0) neighbors.push_back(orig_to_core[v]);
-      }
-      offsets[cu + 1] = neighbors.size();
-    }
-    core_storage = Graph(std::move(offsets), std::move(neighbors));
-    core = &core_storage;
+  // Compact CSR over the survivors. The remap is monotone, so every row
+  // stays sorted. When nothing was peeled — the dense clustered case — the
+  // input IS the pruned graph.
+  if (stats.peeled_nodes == 0) {
+    result.pruned = g;
   } else {
-    core_to_orig.resize(n);
-    for (NodeId u = 0; u < n; ++u) core_to_orig[u] = u;
-    if (!options.reorder) core_rank = original.rank;
-  }
-  // Reorder mode orients the support counts by the core's own degeneracy
-  // order (also the pruned graph's orientation when stage 2 is a no-op).
-  Ordering core_order;
-  if (options.reorder) {
-    core_order = DegeneracyOrdering(*core);
-    core_rank = core_order.rank;
-  }
-
-  // Stage 2 — triangle-support machinery (plus any peels it re-enables)
-  // on the core.
-  const NodeId stage1_peeled = stats.peeled_nodes;
-  const EdgeIndex edges(*core);
-  PruneState prune(*core, edges, options.k, core_rank, &stats);
-  prune.Run();
-
-  // Compact CSR with the ascending (order-preserving) remap: both remap
-  // stages are monotone in the original ids, so their composition is too,
-  // and every row stays sorted. An alive edge implies both endpoints
-  // alive (peeling removes incident edges). When stage 2 removed nothing
-  // — the common sparse-social outcome, where the degree peel did all the
-  // work — the core IS the pruned graph; don't rebuild it.
-  if (stats.peeled_nodes == stage1_peeled && stats.unsupported_edges == 0) {
-    result.pruned = core == &core_storage ? std::move(core_storage) : g;
-    result.new_to_old = std::move(core_to_orig);
-    result.old_to_new.assign(n, kInvalidNode);
-    for (NodeId pu = 0; pu < result.new_to_old.size(); ++pu) {
-      result.old_to_new[result.new_to_old[pu]] = pu;
-    }
-  } else {
-    result.old_to_new.assign(n, kInvalidNode);
-    std::vector<NodeId> core_to_final(core->num_nodes(), kInvalidNode);
-    for (NodeId cu = 0; cu < core->num_nodes(); ++cu) {
-      if (prune.NodeAlive(cu)) {
-        const NodeId final_id = static_cast<NodeId>(result.new_to_old.size());
-        core_to_final[cu] = final_id;
-        result.old_to_new[core_to_orig[cu]] = final_id;
-        result.new_to_old.push_back(core_to_orig[cu]);
-      }
-    }
     const NodeId pruned_n = static_cast<NodeId>(result.new_to_old.size());
     std::vector<Count> offsets(pruned_n + 1, 0);
     std::vector<NodeId> neighbors;
-    NodeId pu = 0;
-    for (NodeId cu = 0; cu < core->num_nodes(); ++cu) {
-      if (core_to_final[cu] == kInvalidNode) continue;
-      const auto row = core->Neighbors(cu);
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (prune.EdgeAlive(edges.edge_of_arc[edges.arc_offset[cu] + i])) {
-          neighbors.push_back(core_to_final[row[i]]);
-        }
+    for (NodeId pu = 0; pu < pruned_n; ++pu) {
+      for (NodeId v : g.Neighbors(result.new_to_old[pu])) {
+        if (alive[v] != 0) neighbors.push_back(result.old_to_new[v]);
       }
-      offsets[++pu] = neighbors.size();
+      offsets[pu + 1] = neighbors.size();
     }
     result.pruned = Graph(std::move(offsets), std::move(neighbors));
   }
@@ -532,12 +156,9 @@ PreprocessResult PreprocessForKCliques(const Graph& g,
 
   if (options.reorder) {
     stats.reordered = true;
-    // When stage 2 removed nothing the pruned graph IS the core, whose
-    // order was just computed; otherwise recompute on the (small) result.
-    result.orientation =
-        stats.peeled_nodes == stage1_peeled && stats.unsupported_edges == 0
-            ? std::move(core_order)
-            : DegeneracyOrdering(result.pruned);
+    result.orientation = DegeneracyOrdering(result.pruned);
+  } else if (stats.peeled_nodes == 0) {
+    result.orientation = std::move(original);
   } else {
     // The original degeneracy order restricted to the survivors: pairwise
     // rank comparisons among surviving nodes — and hence the DAG

@@ -2,33 +2,29 @@
 //
 // A node can participate in a disjoint k-clique solution only if it lies in
 // at least one k-clique, and on the sparse real graphs the paper targets
-// most nodes do not. Two classical necessary conditions prune them without
-// ever listing a clique (the kClist lineage's biggest constant-factor win):
+// most nodes do not. One classical necessary condition prunes them without
+// ever listing a clique: every node of a k-clique has k-1 co-members, so any
+// node whose degree drops below k-1 can be peeled, cascading — the
+// (k-1)-core. The survivors are compacted into a CSR with an ascending-order
+// id remap and a back-mapping to original ids.
 //
-//   * (k-1)-core: every node of a k-clique has k-1 co-members, so any node
-//     whose degree drops below k-1 can be peeled, cascading;
-//   * triangle support: every edge of a k-clique lies in at least k-2
-//     triangles (one per remaining co-member), so edges supported by fewer
-//     can be dropped.
+// There is deliberately no edge-level (triangle-support) rule: edges that
+// lie in too few triangles are ones the solvers' degeneracy-oriented DFS
+// discards almost for free, and counting supports cost more than every
+// solve it shortened (the kClist lineage makes the same call).
 //
-// Each rule can re-enable the other (dropping edges lowers degrees, peeling
-// nodes removes triangles), so the pipeline iterates both to a fixpoint,
-// then rebuilds a compact CSR over the survivors with an ascending-order id
-// remap and a back-mapping to original ids.
-//
-// Safety: by induction over the pruning steps, no node or edge of any
-// k-clique is ever removed — a k-clique's nodes keep degree >= k-1 and its
-// edges keep support >= k-2 as long as the clique itself is intact, which
-// it always is. The pruned graph therefore contains *exactly* the k-cliques
-// of the input.
+// Safety: a k-clique's nodes keep degree >= k-1 as long as the clique
+// itself is intact, which it always is, so no node or edge of any k-clique
+// is ever removed. The pruned graph contains *exactly* the k-cliques of the
+// input.
 //
 // Determinism: in the default mode the pruned graph is meant to be oriented
 // by the ORIGINAL graph's degeneracy order restricted to the survivors
 // (`orientation` below). Because the id remap is ascending and every
 // k-clique survives with all its edges, each solver's DFS sees the same
 // surviving branches in the same relative order as on the unpruned graph —
-// removed nodes/edges only ever contributed dead branches — so solutions
-// are byte-identical with preprocessing on or off (the differential harness
+// removed nodes only ever contributed dead branches — so solutions are
+// byte-identical with preprocessing on or off (the differential harness
 // asserts exactly this for all five methods). The opt-in `reorder` mode
 // recomputes the degeneracy order on the pruned graph instead: denser
 // kernels, still-valid solutions, but no byte-identity promise.
@@ -51,7 +47,7 @@ struct PreprocessOptions {
   /// (solver results byte-identical to no preprocessing). true: recompute
   /// the degeneracy order on the pruned graph.
   bool reorder = false;
-  /// When given, the stage-1 (k-1)-core peel runs as per-range partition
+  /// When given, the (k-1)-core peel runs as per-range partition
   /// peels followed by a global cascade to the fixpoint. The peel is a
   /// confluent chaotic iteration, so the surviving set — and with it every
   /// downstream artifact and statistic — is identical to the serial
@@ -68,16 +64,14 @@ struct PreprocessStats {
   Count edges_before = 0;
   NodeId nodes_after = 0;
   Count edges_after = 0;
-  /// Nodes peeled by the (k-1)-core phase (summed over rounds).
+  /// Nodes peeled by the (k-1)-core cascade.
   NodeId peeled_nodes = 0;
-  /// Edges dropped because an endpoint was peeled.
+  /// Edges dropped because an endpoint was peeled (all removed edges).
   Count peeled_edges = 0;
-  /// Edges dropped by the triangle-support phase (support < k-2).
+  /// Always 0: no edge-level prune rule exists any more. Kept only because
+  /// the end-to-end benchmark still reports it; it goes away with the next
+  /// change to the benchmark.
   Count unsupported_edges = 0;
-  /// Triangle-count passes until the fixpoint was certified (>= 1 when the
-  /// pipeline ran): 1 when the cascade finished incrementally or nothing
-  /// was prunable, +1 for every mass-kill round that forced a recount.
-  int rounds = 0;
   double elapsed_ms = 0.0;
   bool reordered = false;
 
@@ -99,7 +93,8 @@ struct PreprocessResult {
   PreprocessStats stats;
 };
 
-/// Runs the peel/support fixpoint for k-clique workloads (k >= 3).
+/// Runs the (k-1)-core peel for k-clique workloads (k >= 3; smaller k
+/// passes the graph through unchanged).
 PreprocessResult PreprocessForKCliques(const Graph& g,
                                        const PreprocessOptions& options);
 

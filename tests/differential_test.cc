@@ -153,8 +153,8 @@ TEST(DifferentialTest, HeuristicsVsExactOnSmallInstances) {
 }
 
 // The preprocessing pipeline's central promise: in the default
-// order-preserving mode, running any method on the (k-1)-core +
-// triangle-support pruned graph produces the byte-identical solution —
+// order-preserving mode, running any method on the (k-1)-core of the
+// input produces the byte-identical solution —
 // same cliques, same order, same node order within each clique — as
 // running it on the raw input. Every static instance, all five methods;
 // OPT runs under the deterministic branch budget so the genuinely hard

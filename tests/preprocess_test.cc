@@ -1,5 +1,5 @@
-// Unit tests for the graph-shrinking preprocessing pipeline: peel/support
-// fixpoint behaviour on structured graphs (windmill, tripartite, star),
+// Unit tests for the graph-shrinking preprocessing pipeline: (k-1)-core
+// peel behaviour on structured graphs (windmill, tripartite, star, WS),
 // the "everything pruned" / "nothing pruned" edges, remap invariants, and
 // the order-preserving orientation contract.
 
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/solver.h"
 #include "gen/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -61,8 +62,8 @@ void CheckInvariants(const Graph& g, const PreprocessResult& result) {
   EXPECT_EQ(stats.nodes_after, result.pruned.num_nodes());
   EXPECT_EQ(stats.edges_after, result.pruned.num_edges());
   EXPECT_EQ(stats.nodes_removed(), stats.peeled_nodes);
-  EXPECT_EQ(stats.edges_removed(),
-            stats.peeled_edges + stats.unsupported_edges);
+  EXPECT_EQ(stats.edges_removed(), stats.peeled_edges);
+  EXPECT_EQ(stats.unsupported_edges, 0u);
 
   ASSERT_EQ(result.new_to_old.size(), result.pruned.num_nodes());
   ASSERT_EQ(result.old_to_new.size(), g.num_nodes());
@@ -98,13 +99,10 @@ PreprocessResult RunPipeline(const Graph& g, int k, bool reorder = false) {
 TEST(PreprocessTest, WindmillKeepsEverythingForTriangles) {
   const Graph g = Windmill(5);
   const auto result = RunPipeline(g, 3);
-  // Every node sits in a triangle and every edge supports one: fixpoint in
-  // one (verification) round, nothing pruned.
+  // Every node has degree >= 2 and sits in a triangle: nothing pruned.
   EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
   EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
   EXPECT_EQ(result.stats.peeled_nodes, 0u);
-  EXPECT_EQ(result.stats.unsupported_edges, 0u);
-  EXPECT_GE(result.stats.rounds, 1);
 }
 
 TEST(PreprocessTest, WindmillFullyPrunedForK4) {
@@ -119,10 +117,9 @@ TEST(PreprocessTest, WindmillFullyPrunedForK4) {
 }
 
 TEST(PreprocessTest, TripartiteIsCliqueFreeButUnprunable) {
-  // K_{2,2,2} has no 4-clique, yet every node has degree 4 >= 3 and every
-  // edge has support 2 >= 2: the necessary conditions cannot see it. The
-  // pipeline must keep it whole (conservative, never unsound) — catching
-  // over-aggressive pruning rules.
+  // K_{2,2,2} has no 4-clique, yet every node has degree 4 >= 3: the
+  // degree condition cannot see it. The pipeline must keep it whole
+  // (conservative, never unsound) — catching over-aggressive pruning rules.
   const Graph g = Tripartite(2);
   ASSERT_TRUE(testing::BruteForceKCliques(g, 4).empty());
   const auto result = RunPipeline(g, 4);
@@ -144,14 +141,14 @@ TEST(PreprocessTest, StarIsFullyPeeled) {
   EXPECT_EQ(result.pruned.num_nodes(), 0u);
   EXPECT_EQ(result.stats.peeled_nodes, g.num_nodes());
   EXPECT_EQ(result.stats.peeled_edges, g.num_edges());
-  EXPECT_EQ(result.stats.unsupported_edges, 0u);
 }
 
-TEST(PreprocessTest, SupportPruningCascadesIntoASecondPeelRound) {
+TEST(PreprocessTest, PeelKeepsADegreeThreeNodeOutsideEveryClique) {
   // Two K4s sharing node 6, plus node 7 wired to three clique nodes that
-  // span both cliques: 7 survives the degree peel (degree 3) but all of
-  // its edges have triangle support <= 1 < 2, so the support phase drops
-  // them and the *next* peel round removes the now-isolated node.
+  // span both cliques. Node 7 lies in no 4-clique (its edges have triangle
+  // support <= 1), but its degree 3 meets the k-1 threshold, so the peel
+  // keeps it and the graph passes through whole. The solvers discard its
+  // branches themselves: the solution is byte-identical either way.
   GraphBuilder b;
   const NodeId k4a[] = {0, 1, 2, 6};
   const NodeId k4b[] = {3, 4, 5, 6};
@@ -166,14 +163,46 @@ TEST(PreprocessTest, SupportPruningCascadesIntoASecondPeelRound) {
   b.AddEdge(7, 3);
   const Graph g = b.Build();
   const auto result = RunPipeline(g, 4);
-  EXPECT_EQ(result.pruned.num_nodes(), 7u);  // both K4s survive
-  EXPECT_EQ(result.pruned.num_edges(), 12u);
-  EXPECT_EQ(result.stats.peeled_nodes, 1u);
-  EXPECT_EQ(result.stats.unsupported_edges, 3u);
-  EXPECT_GE(result.stats.rounds, 1);
-  // Node 7 is gone; everyone else keeps their (remapped) ids in order.
-  EXPECT_EQ(result.old_to_new[7], kInvalidNode);
-  for (NodeId u = 0; u < 7; ++u) EXPECT_EQ(result.old_to_new[u], u);
+  EXPECT_EQ(result.pruned.num_nodes(), 8u);
+  EXPECT_EQ(result.pruned.num_edges(), 15u);
+  EXPECT_EQ(result.stats.peeled_nodes, 0u);
+  EXPECT_EQ(result.old_to_new[7], 7u);
+
+  for (Method method : {Method::kHG, Method::kGC, Method::kL, Method::kLP,
+                        Method::kOPT}) {
+    SCOPED_TRACE(MethodName(method));
+    SolverOptions options;
+    options.k = 4;
+    options.method = method;
+    options.preprocess = false;
+    auto plain = Solve(g, options);
+    options.preprocess = true;
+    auto pruned = Solve(g, options);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+    ASSERT_EQ(pruned->set.size(), plain->set.size());
+    EXPECT_EQ(pruned->set.size(), 1u);  // the two K4s share node 6
+    for (CliqueId c = 0; c < plain->set.size(); ++c) {
+      const auto a = plain->set.Get(c);
+      const auto p = pruned->set.Get(c);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), p.begin(), p.end()));
+    }
+  }
+}
+
+TEST(PreprocessTest, DenseClusteredGraphKeepsEveryEdge) {
+  // The clique-dense WS shape: rewiring moves only the far endpoint, so
+  // every node keeps about half of its 24 ring edges, far above the k-1 = 4
+  // threshold. The peel removes nothing — including the thousands of edges
+  // that lie in no 5-clique.
+  Rng rng(42);
+  auto ws = WattsStrogatz(2000, 24, 0.1, rng);
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  const Graph& g = *ws;
+  const auto result = RunPipeline(g, 5);
+  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
+  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
+  EXPECT_EQ(result.stats.edges_removed(), 0u);
 }
 
 TEST(PreprocessTest, PruningNeverRemovesACliqueNodeOrEdge) {
@@ -197,7 +226,9 @@ TEST(PreprocessTest, PruningNeverRemovesACliqueNodeOrEdge) {
 }
 
 TEST(PreprocessTest, DefaultOrientationRestrictsTheOriginalDegeneracyOrder) {
-  const Graph g = testing::RandomGraph(60, 0.15, 9100);
+  // Sparse enough (average degree ~4) that the k=4 peel removes a quarter
+  // of the nodes, so the restriction is not an identity.
+  const Graph g = testing::RandomGraph(60, 0.08, 9100);
   const auto result = RunPipeline(g, 4);
   ASSERT_GT(result.pruned.num_nodes(), 0u);
   ASSERT_LT(result.pruned.num_nodes(), g.num_nodes());  // pruning bit
@@ -226,7 +257,6 @@ TEST(PreprocessTest, EmptyGraphAndSmallKPassThrough) {
   const Graph empty;
   const auto result = RunPipeline(empty, 4);
   EXPECT_EQ(result.pruned.num_nodes(), 0u);
-  EXPECT_EQ(result.stats.rounds, 1);
 
   // k < 3: identity pass-through (no prune rules exist).
   const Graph g = Star(4);
@@ -271,9 +301,6 @@ TEST(PreprocessTest, ParallelPeelMatchesSerialOnEveryInstance) {
       }
       EXPECT_EQ(parallel.stats.peeled_nodes, serial.stats.peeled_nodes);
       EXPECT_EQ(parallel.stats.peeled_edges, serial.stats.peeled_edges);
-      EXPECT_EQ(parallel.stats.unsupported_edges,
-                serial.stats.unsupported_edges);
-      EXPECT_EQ(parallel.stats.rounds, serial.stats.rounds);
     }
   }
 }

@@ -185,16 +185,14 @@ int RunSolve(const dkc::Flags& flags, const dkc::Graph& g) {
   if (options.preprocess) {
     const dkc::PreprocessStats& pre = result->preprocess;
     std::printf("preprocess%s: %u -> %u nodes, %llu -> %llu edges "
-                "(%u peeled, %llu edges peeled, %llu unsupported) "
-                "in %d rounds, %.1f ms\n",
+                "(%u peeled, %llu edges peeled), %.1f ms\n",
                 pre.reordered ? " (reordered)" : "", pre.nodes_before,
                 pre.nodes_after,
                 static_cast<unsigned long long>(pre.edges_before),
                 static_cast<unsigned long long>(pre.edges_after),
                 pre.peeled_nodes,
                 static_cast<unsigned long long>(pre.peeled_edges),
-                static_cast<unsigned long long>(pre.unsupported_edges),
-                pre.rounds, pre.elapsed_ms);
+                pre.elapsed_ms);
   }
   for (const dkc::PartitionStats& ps : result->partitions) {
     std::printf("partition %d: %u owned + %u ghost nodes "
