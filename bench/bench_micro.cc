@@ -197,7 +197,8 @@ BENCHMARK(BM_LightweightSolve)
     ->Args({4, 0})
     ->Args({4, 1})
     ->Args({6, 0})
-    ->Args({6, 1});  // pruning off/on: the L vs LP ablation at kernel level
+    ->Args({6, 1});  // pruning off/on: L's unpruned DFS vs LP's
+                     // cheapest-first branch-and-bound, same solutions
 
 // Full LP solve across a pool; args are {k, threads}. Solutions are
 // byte-identical to the serial run (the thread-sweep harness proves it);

@@ -1,6 +1,7 @@
 #include "clique/neighborhood.h"
 
 #include <algorithm>
+#include <limits>
 
 // IntersectSorted and the dispatched word-level primitives live in
 // clique/intersect_simd.{h,cc}.
@@ -280,7 +281,6 @@ struct MinScoreVisitor {
   NodeId* prefix;  // local ids, capacity q
   NodeId* best;    // local ids, capacity q
   int depth = 0;
-  int best_len = 0;      // 0 while best_score is a phantom bound
   Count best_score = 0;
   bool have_best = false;
   bool Enter(NodeId i) {
@@ -306,43 +306,84 @@ struct MinScoreVisitor {
       best_score = candidate_total;
       std::copy(prefix, prefix + depth, best);
       best[depth] = i;
-      best_len = depth + 1;
       have_best = true;
     }
     return true;
   }
 };
 
-// Second pass of the greedy-seeded FindMin (see FindMinScoreClique): the
-// first pass proved no clique scores below `target`, so the answer is the
-// first clique in DFS order that *reaches* target — an early-exit search
-// with the tightest possible cut (any prefix strictly above target is dead).
-struct TieSeekVisitor {
-  static constexpr bool kLeafIterates = true;
-  const Count* local_scores;
-  Count running;  // base + scores of the current prefix
-  Count target;
-  NodeId* prefix;  // local ids, capacity q
-  NodeId* best;    // local ids, capacity q
+// Cheapest-first branch-and-bound for the minimum-score q-clique of a
+// one-word universe whose local ids ascend in (score, global id), so the
+// lowest set bits of any candidate mask are its cheapest members
+// (Östergård's bounding order for maximum-weight clique). Each clique is
+// reached once, as the ascending local-id sequence a1 < a2 < ... < aq with
+// a(t+1) in up[a(t)]. Prunes are strict, so every clique whose total
+// equals the final minimum is reached; among those the search keeps the
+// one the id-ordered DFS reaches first (see Leaf).
+struct CheapestFirstMin {
+  const uint64_t* up;     // up[i]: universe neighbors of i above local id i
+  const Count* score;     // per local id, ascending
+  const NodeId* global;   // local id -> global id
+  const NodeId* rank;     // global id -> DAG rank
+  int q;
+  NodeId* prefix;         // local ids of the current branch, capacity q
+  NodeId* key;            // tie key under construction, capacity q
+  NodeId* best;           // incumbent in DFS order (global ids), capacity q
   int depth = 0;
-  int best_len = 0;
-  bool Enter(NodeId i) {
-    if (running + local_scores[i] > target) return false;
-    prefix[depth++] = i;
-    running += local_scores[i];
-    return true;
+  bool have_best = false;
+  Count best_score = std::numeric_limits<Count>::max();
+
+  // Picks r more members from `cand`, every one above the current prefix.
+  void Search(uint64_t cand, int r, Count running) {
+    if (r == 1) {
+      for (uint64_t bits = cand; bits != 0; bits &= bits - 1) {
+        const NodeId a = static_cast<NodeId>(std::countr_zero(bits));
+        const Count total = running + score[a];
+        if (total > best_score) return;  // later members cost no less
+        prefix[depth] = a;
+        Leaf(total);
+      }
+      return;
+    }
+    for (uint64_t bits = cand; bits != 0; bits &= bits - 1) {
+      const NodeId a = static_cast<NodeId>(std::countr_zero(bits));
+      const Count sa = score[a];
+      // Every remaining member, a included, costs at least score(a).
+      if (running + static_cast<Count>(r) * sa > best_score) return;
+      const uint64_t next = cand & up[a];
+      if (std::popcount(next) + 1 < r) continue;
+      // The r-1 lowest bits of `next` are its cheapest completion.
+      Count bound = running + sa;
+      uint64_t low = next;
+      for (int t = 1; t < r; ++t, low &= low - 1) {
+        bound += score[std::countr_zero(low)];
+      }
+      if (bound > best_score) continue;
+      prefix[depth++] = a;
+      Search(next, r - 1, running + sa);
+      --depth;
+    }
   }
-  void Exit(NodeId i) {
-    running -= local_scores[i];
-    --depth;
-  }
-  bool LeafCount(Count) { return true; }
-  bool LeafId(NodeId i) {
-    if (running + local_scores[i] > target) return true;
-    std::copy(prefix, prefix + depth, best);
-    best[depth] = i;
-    best_len = depth + 1;
-    return false;  // first hit is the answer; stop the traversal
+
+  // The DFS over id-ordered local ids walks each clique from its highest
+  // DAG rank down (rows point to lower ranks) and tries candidates in
+  // ascending global id, so among equal totals it keeps the clique whose
+  // rank-descending member list is lexicographically smallest by global
+  // id. That list is also the member order FindMinScoreClique reports.
+  void Leaf(Count total) {
+    for (int t = 0; t < q; ++t) {
+      // Insertion sort by rank, descending: q is tiny.
+      const NodeId v = global[prefix[t]];
+      int u = t;
+      for (; u > 0 && rank[key[u - 1]] < rank[v]; --u) key[u] = key[u - 1];
+      key[u] = v;
+    }
+    if (!have_best || total < best_score ||
+        std::lexicographical_compare(key, key + q, best, best + q)) {
+      std::copy(key, key + q, best);
+      best_score = total;
+      have_best = true;
+    }
   }
 };
 
@@ -365,80 +406,86 @@ Count NeighborhoodKernel::ScoreCliques(int q, std::vector<Count>* counts) {
   return visitor.total;
 }
 
+void NeighborhoodKernel::RenumberByScore(std::span<const Count> scores) {
+  if (uni_ != a_->local_nodes.data()) {
+    a_->local_nodes.assign(uni_, uni_ + s_);
+    uni_ = a_->local_nodes.data();
+  }
+  auto& order = a_->score_order;
+  order.resize(s_);
+  for (NodeId i = 0; i < s_; ++i) order[i] = {scores[uni_[i]], uni_[i]};
+  std::sort(order.begin(), order.end());
+  a_->local_scores.resize(s_);
+  for (NodeId i = 0; i < s_; ++i) {
+    a_->local_scores[i] = order[i].first;
+    a_->local_nodes[i] = order[i].second;
+    a_->local_of[order[i].second] = i;  // stamps are already current
+  }
+  // Rows of the old numbering are stale; the next traversal rebuilds.
+  row_state_ = RowState::kUnset;
+  rows_built_ = 0;
+}
+
+void NeighborhoodKernel::BuildUpRows() {
+  // Transpose of the one-word row matrix, restricted to higher local ids:
+  // up[i] holds every universe neighbor of i above i, whichever way the
+  // DAG orients the edge. O(edges in the universe). Branch-free: a
+  // neighbor outside the universe has a stale map entry, which lands
+  // (masked to a word index) as a zero OR — so the array spans all 64 ids.
+  a_->up_rows.assign(64, 0);
+  uint64_t* up = a_->up_rows.data();
+  const uint32_t epoch = a_->epoch;
+  const uint32_t* stamps = a_->map_epoch.data();
+  const NodeId* local_of = a_->local_of.data();
+  for (NodeId i = 0; i < s_; ++i) {
+    uint64_t above = 0;
+    for (const NodeId v : dag_->OutNeighbors(uni_[i])) {
+      const uint64_t hit = stamps[v] == epoch;
+      const NodeId j = local_of[v] & 63;
+      above |= (hit & (j > i)) << j;
+      up[j] |= (hit & (j < i)) << i;
+    }
+    up[i] |= above;
+  }
+}
+
 bool NeighborhoodKernel::FindMinScoreClique(int q,
                                             std::span<const Count> scores,
                                             Count base_score, bool prune,
                                             std::vector<NodeId>* clique,
                                             Count* clique_score) {
   if (q <= 0 || s_ < static_cast<NodeId>(q)) return false;
+  a_->prefix_scratch.resize(static_cast<size_t>(q));
+  a_->best_scratch.resize(static_cast<size_t>(q));
+  if (prune && has_root_ && use_bitmap_ && words_ == 1) {
+    RenumberByScore(scores);
+    BuildUpRows();
+    a_->key_scratch.resize(static_cast<size_t>(q));
+    CheapestFirstMin search{a_->up_rows.data(),
+                            a_->local_scores.data(),
+                            uni_,
+                            dag_->ordering().rank.data(),
+                            q,
+                            a_->prefix_scratch.data(),
+                            a_->key_scratch.data(),
+                            a_->best_scratch.data()};
+    search.Search(s_ == 64 ? ~uint64_t{0} : (uint64_t{1} << s_) - 1, q,
+                  base_score);
+    if (!search.have_best) return false;
+    clique->assign(a_->best_scratch.begin(), a_->best_scratch.end());
+    *clique_score = search.best_score;
+    return true;
+  }
   a_->local_scores.resize(s_);
   for (NodeId i = 0; i < s_; ++i) {
     a_->local_scores[i] = scores[uni_[i]];
   }
-  a_->prefix_scratch.resize(static_cast<size_t>(q));
-  a_->best_scratch.resize(static_cast<size_t>(q));
   MinScoreVisitor visitor{a_->local_scores.data(), prune, base_score,
                           a_->prefix_scratch.data(), a_->best_scratch.data()};
-
-  // Greedy-seeded two-pass search (pruned mode, one-word universes): a
-  // greedy min-score descent yields a real clique score S_g; pass 1 runs
-  // the normal DFS with S_g as a *phantom* incumbent, so pruning is at
-  // full strength from the first branch. Updates still happen only on
-  // strictly-smaller totals — and every prefix of a strictly-better clique
-  // stays under the bound (scores are non-negative), so if the true
-  // minimum is below S_g, pass 1 returns exactly the first-found minimum.
-  // Otherwise the minimum IS S_g and pass 2 early-exits at the first
-  // clique reaching it — again the DFS-order tie-break winner. Results
-  // are identical to the plain DFS; only the amount of pruning differs.
-  if (prune && use_bitmap_ && words_ == 1 && q >= 2) {
-    MaterializeAllRows();  // the dive needs rows; the DFS reuses them
-    const uint64_t full = s_ == 64 ? ~uint64_t{0} : (uint64_t{1} << s_) - 1;
-    const uint64_t* rows = a_->rows.data();
-    const Count* ls = a_->local_scores.data();
-    uint64_t cand = full;
-    Count greedy_score = base_score;
-    bool greedy_ok = true;
-    for (int d = 0; d < q; ++d) {
-      if (cand == 0) {
-        greedy_ok = false;
-        break;
-      }
-      NodeId pick = 0;
-      Count pick_score = 0;
-      bool first = true;
-      for (uint64_t bits = cand; bits != 0; bits &= bits - 1) {
-        const NodeId i = static_cast<NodeId>(std::countr_zero(bits));
-        if (first || ls[i] < pick_score) {
-          pick = i;
-          pick_score = ls[i];
-          first = false;
-        }
-      }
-      greedy_score += pick_score;
-      if (d + 1 < q) cand &= rows[pick];
-    }
-    if (greedy_ok) {
-      visitor.have_best = true;  // phantom: best_len stays 0
-      visitor.best_score = greedy_score;
-      Visit(q, visitor);
-      if (visitor.best_len == 0) {
-        // Nothing beats the greedy score: seek its first DFS occurrence.
-        TieSeekVisitor tie{ls,        base_score,
-                           greedy_score, a_->prefix_scratch.data(),
-                           a_->best_scratch.data()};
-        Visit(q, tie);
-        visitor.best_len = tie.best_len;
-        visitor.best_score = greedy_score;
-      }
-    } else {
-      Visit(q, visitor);
-    }
-  } else {
-    Visit(q, visitor, /*eager=*/true);
-  }
-  if (!visitor.have_best || visitor.best_len == 0) return false;
+  Visit(q, visitor, /*eager=*/true);
+  if (!visitor.have_best) return false;
   clique->clear();
-  for (int i = 0; i < visitor.best_len; ++i) {
+  for (int i = 0; i < q; ++i) {
     clique->push_back(uni_[a_->best_scratch[i]]);
   }
   *clique_score = visitor.best_score;

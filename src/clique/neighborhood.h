@@ -25,7 +25,7 @@
 //     tracked by a built-bitmap. Rows of candidates that are pruned before
 //     ever heading a branch (low degree, score cuts, exhausted validity)
 //     are never built — exactly the rows the first DFS level discards on
-//     the filtered passes (HG FindOne, L/LP FindMin). `rows_built()`
+//     the filtered first-hit pass (HG FindOne). `rows_built()`
 //     exposes the per-build count for tests and diagnostics.
 //   * KernelArena. All scratch buffers (remap tables, row storage,
 //     candidate stacks, visitor scratch) live in one flat arena object
@@ -50,6 +50,14 @@
 // the exact induced degree would admit, and an admitted branch that cannot
 // complete a clique dies at the candidate-count check without emitting
 // anything.
+//
+// Pruned min-clique search (LP's FindMin) on a one-word root universe is
+// the one traversal that leaves this order: it renumbers the universe by
+// (score, global id) and runs a cheapest-first branch-and-bound over
+// "up-rows" (each member's neighbors at higher local ids, the transpose
+// of the row matrix). It returns exactly the clique the id-ordered DFS
+// would: the tie rule that DFS implies is applied explicitly (see
+// FindMinScoreClique).
 //
 // Fallback to sorted-merge: an arbitrary subset (BuildFromSubset) can be
 // huge and sparse. When a row would span more than kMaxRowWords machine
@@ -83,6 +91,7 @@
 #include <mutex>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "clique/intersect_simd.h"
@@ -151,7 +160,10 @@ struct KernelArena {
   std::vector<NodeId> emit;            // global ids, root-prefixed
   std::vector<NodeId> prefix_scratch;  // local ids (FindMinScoreClique)
   std::vector<NodeId> best_scratch;
+  std::vector<NodeId> key_scratch;     // tie key (cheapest-first FindMin)
   std::vector<Count> local_scores;
+  std::vector<std::pair<Count, NodeId>> score_order;  // (score, global id)
+  std::vector<uint64_t> up_rows;       // one word per local id (64)
   std::vector<Count> subtree_counts;   // per-depth clique counters (scoring)
 };
 
@@ -210,11 +222,16 @@ class NeighborhoodKernel {
   Count ScoreCliques(int q, std::vector<Count>* counts);
 
   /// Minimum-score q-clique: minimizes base_score + sum of member scores
-  /// (scores indexed by global id), ties resolved first-found-in-DFS-order.
-  /// With `prune`, branches whose running sum already exceeds the best are
-  /// cut (never changes the result; scores are non-negative). On success
-  /// fills `clique` with the member *global* ids in DFS order (root NOT
-  /// included) and `clique_score` with the full sum.
+  /// (scores indexed by global id), ties resolved first-found-in-DFS-order:
+  /// in root mode, the clique whose members, sorted by DAG rank descending,
+  /// are lexicographically smallest by global id. With `prune`, branches
+  /// that cannot beat the best are cut (never changes the result; scores
+  /// are non-negative); on a one-word root universe this is the
+  /// cheapest-first branch-and-bound, which renumbers the universe in
+  /// (score, global id) order — later traversals of the same build stay
+  /// correct but see that numbering (ToGlobal, enumeration order). On
+  /// success fills `clique` with the member *global* ids in DFS order
+  /// (root NOT included) and `clique_score` with the full sum.
   bool FindMinScoreClique(int q, std::span<const Count> scores,
                           Count base_score, bool prune,
                           std::vector<NodeId>* clique, Count* clique_score);
@@ -335,11 +352,18 @@ class NeighborhoodKernel {
   void PrepareLazyRows();
   void MaterializeAllRows();
 
+  /// Cheapest-first FindMin setup (root mode, one word). RenumberByScore
+  /// reassigns local ids in (score, global id) order, fills local_scores
+  /// in that order and drops every built row; BuildUpRows then fills
+  /// up_rows in the new numbering.
+  void RenumberByScore(std::span<const Count> scores);
+  void BuildUpRows();
+
   /// Runs the visitor over every q-clique of the universe. With `eager`,
   /// all rows are materialized up front (right for exhaustive passes —
   /// counting/scoring touch almost every row anyway); without it, rows
-  /// build lazily on first touch (right for pruned or early-stopping
-  /// passes — FindMin, first-hit FindOne). Either way, once every row is
+  /// build lazily on first touch (right for early-stopping passes —
+  /// first-hit FindOne, budgeted enumeration). Either way, once every row is
   /// built the recursion switches to a read-only variant whose row/degree
   /// pointers the compiler can hoist out of the branch loops (the lazy
   /// variant's potential MaterializeRow call forces reloads). Returns
@@ -484,7 +508,7 @@ class NeighborhoodKernel {
         const NodeId i = static_cast<NodeId>(std::countr_zero(bits));
         if (deg[i] + 1 < 2) continue;
         // Lazy mode probes the visitor *before* materializing the row:
-        // score-pruned branches (the LP win) never pay for a build. An
+        // refused branches (an exhausted budget) never pay for a build. An
         // entered branch is unwound by Exit either way.
         if (!visitor.Enter(i)) continue;
         uint64_t row;
@@ -515,8 +539,8 @@ class NeighborhoodKernel {
       // Degree prune. In lazy mode the bound may over-admit until the row
       // is built; over-admitted branches die at the candidate-count check
       // below without emitting anything, so results never change. The
-      // visitor probe runs before the row build so score-pruned branches
-      // never materialize anything.
+      // visitor probe runs before the row build so refused branches never
+      // materialize anything.
       if (deg[i] + 1 < static_cast<Count>(remaining)) continue;
       if (!visitor.Enter(i)) continue;
       uint64_t row;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "clique/kclique.h"
@@ -18,10 +17,11 @@ namespace {
 // FindMin (Algorithm 3, lines 16-29): locally minimum clique-score k-clique
 // rooted at u, searched inside the valid part of N+(u). A thin adapter over
 // NeighborhoodKernel::FindMinScoreClique, which carries the score-driven
-// pruning (lines 19-20 / 27-28): a branch is cut as soon as the running sum
-// plus the next node's score exceeds the best complete clique found.
-// Pruning never changes the result: only strictly-worse completions are
-// skipped, and ties are resolved "first found in DFS order" both ways.
+// pruning (lines 19-20 / 27-28) as a cheapest-first branch-and-bound: a
+// branch is cut once a lower bound on its completions exceeds the best
+// complete clique found. Pruning never changes the result: only
+// strictly-worse completions are skipped, and ties are resolved "first
+// found in DFS order" both ways.
 class MinCliqueFinder {
  public:
   MinCliqueFinder(const Dag& dag, const std::vector<uint8_t>& valid,
@@ -69,7 +69,7 @@ struct HeapEntry {
 };
 
 struct HeapCompare {
-  // std::priority_queue is a max-heap; invert for min-by-(score, rank).
+  // The std heap algorithms keep a max-heap; invert for min-by-(score, rank).
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
     if (a.score != b.score) return a.score > b.score;
     return a.root_rank > b.root_rank;
@@ -109,9 +109,8 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
 
   // Lines 5-6, HeapInit: one local-minimum clique per root, in parallel via
   // the shared root driver (uniform pool scheduling + deadline checks).
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> heap;
+  std::vector<HeapEntry> heap;  // binary heap under HeapCompare
   {
-    std::vector<HeapEntry> initial;
     struct State {
       // Heap-owned arena: its address is stable across State moves, so the
       // finder's kernel can borrow it (one arena per DriveRoots worker,
@@ -142,10 +141,10 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
           }
         },
         [&](State* s) {
-          for (auto& e : s->found) initial.push_back(std::move(e));
+          for (auto& e : s->found) heap.push_back(std::move(e));
         });
     if (!completed) return Status::TimeBudgetExceeded("lightweight heap init");
-    for (auto& e : initial) heap.push(std::move(e));
+    std::make_heap(heap.begin(), heap.end(), HeapCompare{});
   }
   result.stats.init_ms = timer.ElapsedMillis();
   timer.Restart();
@@ -161,8 +160,9 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
       if ((++pops & 0xFF) == 0 && deadline.Expired()) {
         return Status::TimeBudgetExceeded("lightweight calculation loop");
       }
-      HeapEntry top = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end(), HeapCompare{});
+      HeapEntry top = std::move(heap.back());
+      heap.pop_back();
       bool fresh = true;
       for (NodeId v : top.nodes) {
         if (!valid[v]) {
@@ -180,8 +180,9 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
           dag.OutDegree(root) + 1 >= static_cast<Count>(options.k)) {
         // Lines 37-39: refresh the local minimum for this root.
         if (finder.FindRooted(root, &clique, &clique_score)) {
-          heap.push(
+          heap.push_back(
               HeapEntry{clique_score, dag.ordering().rank[root], clique});
+          std::push_heap(heap.begin(), heap.end(), HeapCompare{});
         }
       }
     }

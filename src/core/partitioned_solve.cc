@@ -56,7 +56,6 @@
 #include <atomic>
 #include <functional>
 #include <numeric>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -529,10 +528,11 @@ StatusOr<SolveResult> RunLightweight(const Graph& g,
   // The heap's (score, root_rank) order is strict — root_rank is unique
   // per entry — so pop order (and hence the solution) does not depend on
   // the order entries are pushed in.
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> heap;
+  std::vector<HeapEntry> heap;  // binary heap under HeapCompare
   for (auto& entries : part_entries) {
-    for (auto& entry : entries) heap.push(std::move(entry));
+    for (auto& entry : entries) heap.push_back(std::move(entry));
   }
+  std::make_heap(heap.begin(), heap.end(), HeapCompare{});
   Dag dag(g, std::move(score_order));
   std::vector<uint8_t> valid(n, 1);
   result.stats.init_ms = timer.ElapsedMillis();
@@ -547,8 +547,9 @@ StatusOr<SolveResult> RunLightweight(const Graph& g,
         return Status::TimeBudgetExceeded(
             "partitioned lightweight calculation loop");
       }
-      HeapEntry top = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end(), HeapCompare{});
+      HeapEntry top = std::move(heap.back());
+      heap.pop_back();
       bool fresh = true;
       for (NodeId v : top.nodes) {
         if (valid[v] == 0) {
@@ -565,8 +566,9 @@ StatusOr<SolveResult> RunLightweight(const Graph& g,
       if (valid[root] != 0 &&
           dag.OutDegree(root) + 1 >= static_cast<Count>(k)) {
         if (finder.Find(root, &clique, &clique_score)) {
-          heap.push(
+          heap.push_back(
               HeapEntry{clique_score, dag.ordering().rank[root], clique});
+          std::push_heap(heap.begin(), heap.end(), HeapCompare{});
         }
       }
     }

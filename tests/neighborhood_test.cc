@@ -165,10 +165,36 @@ TEST(NeighborhoodKernelTest, ScoresMatchNaivePerRoot) {
   }
 }
 
+// Every root of `dag`: the kernel's FindMin, pruned and unpruned, must
+// return exactly the naive first-found-in-DFS-order minimum clique.
+void ExpectMinCliquesMatchNaive(const Dag& dag, int k,
+                                const std::vector<uint8_t>& valid,
+                                const std::vector<Count>& scores) {
+  NeighborhoodKernel kernel;
+  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
+    std::vector<NodeId> naive_clique;
+    Count naive_score = 0;
+    const bool naive_found = NaiveFindMinRooted(dag, u, k, valid, scores,
+                                                &naive_clique, &naive_score);
+    for (bool prune : {false, true}) {
+      kernel.BuildFromRoot(dag, u, valid.data());
+      std::vector<NodeId> rest;
+      Count got_score = 0;
+      const bool found = kernel.FindMinScoreClique(
+          k - 1, scores, scores[u], prune, &rest, &got_score);
+      ASSERT_EQ(found, naive_found) << "u=" << u << " prune=" << prune;
+      if (!found) continue;
+      std::vector<NodeId> got = {u};
+      got.insert(got.end(), rest.begin(), rest.end());
+      EXPECT_EQ(got, naive_clique) << "u=" << u << " prune=" << prune;
+      EXPECT_EQ(got_score, naive_score);
+    }
+  }
+}
+
 TEST(NeighborhoodKernelTest, MinCliqueMatchesNaiveIncludingTieBreaks) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
     Graph g = testing::RandomGraph(26, 0.4, 600 + seed);
-    Dag dag(g, DegeneracyOrdering(g));
     const int k = 3 + static_cast<int>(seed % 2);
     Rng rng(800 + seed);
     // Random validity mask and deliberately collision-heavy scores so ties
@@ -179,27 +205,37 @@ TEST(NeighborhoodKernelTest, MinCliqueMatchesNaiveIncludingTieBreaks) {
       valid[u] = rng.NextBool(0.8) ? 1 : 0;
       scores[u] = rng.NextBounded(3);
     }
-    NeighborhoodKernel kernel;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      std::vector<NodeId> naive_clique;
-      Count naive_score = 0;
-      const bool naive_found = NaiveFindMinRooted(dag, u, k, valid, scores,
-                                                  &naive_clique, &naive_score);
-      for (bool prune : {false, true}) {
-        kernel.BuildFromRoot(dag, u, valid.data());
-        std::vector<NodeId> rest;
-        Count got_score = 0;
-        const bool found = kernel.FindMinScoreClique(
-            k - 1, scores, scores[u], prune, &rest, &got_score);
-        ASSERT_EQ(found, naive_found) << "u=" << u << " prune=" << prune;
-        if (!found) continue;
-        std::vector<NodeId> got = {u};
-        got.insert(got.end(), rest.begin(), rest.end());
-        EXPECT_EQ(got, naive_clique) << "u=" << u << " prune=" << prune;
-        EXPECT_EQ(got_score, naive_score);
-      }
+    // Degeneracy orientation, and LP's own: edges toward lower score.
+    ExpectMinCliquesMatchNaive(Dag(g, DegeneracyOrdering(g)), k, valid,
+                               scores);
+    ExpectMinCliquesMatchNaive(Dag(g, OrderByKeyAscending(scores)), k, valid,
+                               scores);
+  }
+
+  // A hub adjacent to 89 randomly interconnected nodes and scored above
+  // all of them, so under the score order its valid universe spans more
+  // than one 64-bit word: the multi-word pruned search must match too.
+  constexpr NodeId kN = 90;
+  const NodeId hub = kN - 1;
+  Rng rng(1700);
+  GraphBuilder builder;
+  for (NodeId v = 0; v < hub; ++v) {
+    builder.AddEdge(v, hub);
+    for (NodeId w = v + 1; w < hub; ++w) {
+      if (rng.NextBool(0.3)) builder.AddEdge(v, w);
     }
   }
+  Graph g = builder.Build();
+  std::vector<uint8_t> valid(kN, 1);
+  std::vector<Count> scores(kN, 3);
+  for (NodeId v = 0; v < hub; ++v) {
+    valid[v] = rng.NextBool(0.9) ? 1 : 0;
+    scores[v] = rng.NextBounded(3);
+  }
+  Dag dag(g, OrderByKeyAscending(scores));
+  NeighborhoodKernel kernel;
+  ASSERT_GT(kernel.BuildFromRoot(dag, hub, valid.data()), 64u);
+  for (int k : {3, 4}) ExpectMinCliquesMatchNaive(dag, k, valid, scores);
 }
 
 TEST(NeighborhoodKernelTest, SubsetEnumerationMatchesBruteForce) {
@@ -430,9 +466,9 @@ TEST(LazyRowTest, PrunedSearchesBuildFewerRowsThanEager) {
 }
 
 TEST(LazyRowTest, FindMinScoreCliqueMatchesAcrossRowModes) {
-  // FindMin materializes rows for its greedy seed pass; interleave it with
-  // lazy enumeration on the same kernel object across roots to shake out
-  // stale row/degree state between modes.
+  // Pruned FindMin renumbers the universe and drops every built row;
+  // interleave it with lazy enumeration on the same kernel object across
+  // roots to shake out stale row/degree state between modes.
   Graph g = testing::RandomGraph(34, 0.4, 1400);
   Dag dag(g, DegeneracyOrdering(g));
   Rng rng(1500);
