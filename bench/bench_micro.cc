@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,9 +64,7 @@ void BM_IntersectSorted(benchmark::State& state) {
 BENCHMARK(BM_IntersectSorted)->Arg(16)->Arg(256)->Arg(4096);
 
 // Random interleaving — real adjacency rows, unlike the strided inputs
-// above, give the comparison branches no pattern to predict. One shared
-// generator keeps the branchy/branch-free A/B below on byte-identical
-// inputs.
+// above, give the comparison branches no pattern to predict.
 void MakeRandomInterleaved(size_t size, std::vector<dkc::NodeId>* a,
                            std::vector<dkc::NodeId>* b) {
   dkc::Rng rng(0x5EED);
@@ -121,23 +118,6 @@ void BM_IntersectSortedLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectSortedLevel)
     ->ArgsProduct({{8, 16, 32, 64, 128, 256, 1024, 4096}, {0, 1, 2}});
-
-// A/B row for the retired DKC_BRANCHFREE_MERGE experiment: the branch-free
-// merge on the same random interleavings, benchmarked directly so every
-// build still records the implementation the PR 5 ablation measured (the
-// build flag is gone; SIMD dispatch superseded it).
-void BM_IntersectSortedBranchFree(benchmark::State& state) {
-  const size_t size = static_cast<size_t>(state.range(0));
-  std::vector<dkc::NodeId> a, b, out;
-  MakeRandomInterleaved(size, &a, &b);
-  for (auto _ : state) {
-    dkc::IntersectSortedBranchFree(a, b, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * size));
-}
-BENCHMARK(BM_IntersectSortedBranchFree)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_DegeneracyOrdering(benchmark::State& state) {
   dkc::Graph g = MakeWs(static_cast<dkc::NodeId>(state.range(0)), 16);
@@ -316,37 +296,6 @@ void BM_BasicSolvePrepruned(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BasicSolvePrepruned)->Args({4, 0})->Args({4, 1});
-
-// Partitioned LP solve through the facade on the sparse-social instance
-// at k=4; args are {partitions, threads}. partitions == 0 is the classic
-// unpartitioned path, partitions == 1 measures the partition machinery at
-// zero parallelism, partitions == 4 the partition-parallel configuration —
-// all rows produce the byte-identical solution, so the deltas are pure
-// wall-clock (the P=1 vs P=4 comparison the roadmap tracks).
-void BM_PartitionedSolve(benchmark::State& state) {
-  const int k = 4;
-  dkc::Graph g = MakeSparseSocial(k);
-  dkc::SolverOptions options;
-  options.k = k;
-  options.method = dkc::Method::kLP;
-  options.partitions = static_cast<int>(state.range(0));
-  std::unique_ptr<dkc::ThreadPool> pool;
-  if (state.range(1) > 1) {
-    pool = std::make_unique<dkc::ThreadPool>(
-        static_cast<size_t>(state.range(1)));
-    options.pool = pool.get();
-  }
-  for (auto _ : state) {
-    auto result = dkc::Solve(g, options);
-    benchmark::DoNotOptimize(result.ok());
-  }
-}
-BENCHMARK(BM_PartitionedSolve)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({0, 4})
-    ->Args({4, 4});
 
 void BM_DynamicUpdate(benchmark::State& state) {
   dkc::Graph g = MakeWs(2000, 12);

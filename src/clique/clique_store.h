@@ -38,10 +38,6 @@ class CliqueStore {
             static_cast<size_t>(k_)};
   }
 
-  void Reserve(size_t num_cliques) {
-    nodes_.reserve(num_cliques * static_cast<size_t>(k_));
-  }
-
   int64_t MemoryBytes() const {
     return static_cast<int64_t>(nodes_.capacity() * sizeof(NodeId));
   }

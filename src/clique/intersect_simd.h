@@ -73,17 +73,6 @@ inline constexpr size_t kGallopSkew = 32;
 void IntersectSorted(std::span<const NodeId> a, std::span<const NodeId> b,
                      std::vector<NodeId>* out);
 
-/// The historical branch-free scalar merge: every iteration unconditionally
-/// writes the smaller head and advances by comparison masks. Measured
-/// 2-3.5x SLOWER than the branchy merge on speculating hosts (PR 5's A/B);
-/// its build flag is retired — the SIMD dispatch above is the real fix —
-/// but the implementation stays exposed so bench_micro keeps the recorded
-/// A/B row and the byte-identity sweep covers it. Same aliasing contract
-/// as IntersectSorted.
-void IntersectSortedBranchFree(std::span<const NodeId> a,
-                               std::span<const NodeId> b,
-                               std::vector<NodeId>* out);
-
 namespace simd_internal {
 
 /// The dispatched primitive table. Resolved once at static init (and again

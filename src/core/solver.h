@@ -49,18 +49,6 @@ struct SolverOptions {
   /// valid maximal disjoint k-clique sets but the byte-identity promise is
   /// waived.
   bool preprocess_reorder = false;
-  /// > 0: run the partitioned execution model (core/partitioned_solve.h)
-  /// with this many partitions — partition-parallel HG/GC/L/LP passes plus
-  /// a deterministic serial boundary stitch. Solutions are byte-identical
-  /// to the classic path at any P and any thread count; P=1 is bit-for-bit
-  /// the unpartitioned engine. OPT ignores this and takes the classic path
-  /// (its clique-graph MIS already decomposes by connected component).
-  /// Per-partition accounting lands in SolveResult::partitions.
-  int partitions = 0;
-  /// Partition-assignment policy for the partitioned driver; null picks
-  /// RangePartitioner (contiguous solve-order ranges). Any policy yields
-  /// the same solution — it trades locality and balance only.
-  const GraphPartitioner* partitioner = nullptr;
 };
 
 /// Compute a disjoint k-clique set of `g` with the selected method.

@@ -4,12 +4,10 @@
 #define DKC_CORE_TYPES_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "clique/clique_store.h"
 #include "graph/graph.h"
 #include "graph/preprocess.h"
-#include "partition/partition.h"
 #include "util/thread_pool.h"
 
 namespace dkc {
@@ -42,10 +40,6 @@ struct SolveResult {
   /// preprocessing pipeline (nodes_before == 0 otherwise). Solution node
   /// ids are always reported in the caller's original id space.
   PreprocessStats preprocess;
-
-  /// Per-partition accounting when the partitioned driver ran
-  /// (SolverOptions::partitions > 0); empty on the classic path.
-  std::vector<PartitionStats> partitions;
 
   NodeId size() const { return set.size(); }
 };

@@ -118,7 +118,7 @@ PreprocessResult PreprocessForKCliques(const Graph& g,
 
   // Ascending (order-preserving) remap of the survivors, plus
   // order-independent accounting over the finished alive set (shared by the
-  // serial and partitioned peels): a dead-dead edge is attributed to its
+  // serial and range-parallel peels): a dead-dead edge is attributed to its
   // lower endpoint, a dead-alive edge to its dead one — each dying edge
   // counted exactly once, no matter which cascade order killed it.
   result.old_to_new.assign(n, kInvalidNode);

@@ -47,11 +47,11 @@ struct PreprocessOptions {
   /// (solver results byte-identical to no preprocessing). true: recompute
   /// the degeneracy order on the pruned graph.
   bool reorder = false;
-  /// When given, the (k-1)-core peel runs as per-range partition
-  /// peels followed by a global cascade to the fixpoint. The peel is a
-  /// confluent chaotic iteration, so the surviving set — and with it every
-  /// downstream artifact and statistic — is identical to the serial
-  /// cascade at any thread count.
+  /// When given, the (k-1)-core peel runs as per-range peels followed
+  /// by a global cascade to the fixpoint. The peel is a confluent chaotic
+  /// iteration, so the surviving set — and with it every downstream
+  /// artifact and statistic — is identical to the serial cascade at any
+  /// thread count.
   ThreadPool* pool = nullptr;
   /// Smallest graph (node count) worth fanning the peel out for; below it
   /// the serial cascade wins. Tests set 0 to force the parallel path.

@@ -1,10 +1,10 @@
 // Byte-identity sweep for the dispatched intersection and kernel-row
 // primitives: every compiled level (scalar / SSE4.2 / AVX2 where the host
-// supports it), the galloping path, and the retired-but-exposed branch-free
-// merge must produce identical bytes on identical inputs — the dispatch
-// level is only ever allowed to change speed. The sweep is exhaustive over
-// small sizes (0..80 on both sides) because that is where the block
-// kernels' tail handling, both-advance break, and store slack live.
+// supports it) and the galloping path must produce identical bytes on
+// identical inputs — the dispatch level is only ever allowed to change
+// speed. The sweep is exhaustive over small sizes (0..80 on both sides)
+// because that is where the block kernels' tail handling, both-advance
+// break, and store slack live.
 
 #include <algorithm>
 #include <cstdint>
@@ -47,8 +47,8 @@ std::vector<NodeId> Draw(size_t n, uint64_t salt, NodeId base,
 }
 
 // Every level the host can actually run. kScalar is always present, so the
-// sweep is meaningful even on a non-SIMD host (it still pins galloping and
-// branch-free against the reference).
+// sweep is meaningful even on a non-SIMD host (it still pins galloping
+// against the reference).
 std::vector<SimdLevel> AvailableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   if (CpuSimdLevel() >= SimdLevel::kSse42) levels.push_back(SimdLevel::kSse42);
@@ -99,9 +99,6 @@ void ExpectAllVariantsMatch(const std::vector<NodeId>& a,
                          << " nb=" << b.size();
   }
 #endif
-  IntersectSortedBranchFree(a, b, &got);
-  EXPECT_EQ(got, want) << what << " BranchFree na=" << a.size()
-                       << " nb=" << b.size();
 }
 
 // Exhaustive small-size sweep: all (na, nb) in [0, 80]^2 from a tight
@@ -130,8 +127,6 @@ TEST(IntersectByteIdentityTest, ExhaustiveSmallSizes) {
         ASSERT_EQ(got, want) << "MergeAvx2 na=" << na << " nb=" << nb;
       }
 #endif
-      IntersectSortedBranchFree(a, b, &got);
-      ASSERT_EQ(got, want) << "BranchFree na=" << na << " nb=" << nb;
     }
   }
 }
@@ -354,8 +349,6 @@ TEST(IntersectAliasingDeathTest, OutAliasingInputAsserts) {
   std::vector<NodeId> other = {2, 4, 6, 8};
   EXPECT_DEATH(IntersectSorted(view, other, &buf), "must not alias");
   EXPECT_DEATH(IntersectSorted(other, view, &buf), "must not alias");
-  EXPECT_DEATH(IntersectSortedBranchFree(view, other, &buf),
-               "must not alias");
 }
 #endif  // !NDEBUG && GTEST_HAS_DEATH_TEST
 

@@ -542,10 +542,8 @@ TEST(IntersectSkewTest, GallopingMatchesMergeAcrossTheCrossover) {
 
 // Whatever merge dispatch selected for the fallback (the dispatched
 // scalar/SIMD merge — see intersect_simd.h; the per-level sweep lives in
-// intersect_simd_test.cc) — and the retired branch-free implementation,
-// which stays exposed in every configuration — must agree with the
-// reference on every overlap pattern, including the n=4096 shape whose
-// layout sensitivity motivated the branch-free variant.
+// intersect_simd_test.cc) must agree with the reference on every overlap
+// pattern, including the layout-sensitive n=4096 shape.
 TEST(IntersectMergeTest, MergePathsMatchReferenceAcrossOverlapPatterns) {
   Rng rng(2024);
   std::vector<NodeId> got;  // reused across cases: stale contents must die
@@ -572,23 +570,21 @@ TEST(IntersectMergeTest, MergePathsMatchReferenceAcrossOverlapPatterns) {
       EXPECT_EQ(got, expected) << "n=" << n << " overlap=" << overlap;
       IntersectSorted(b, a, &got);
       EXPECT_EQ(got, expected) << "n=" << n << " overlap=" << overlap;
-      IntersectSortedBranchFree(a, b, &got);
-      EXPECT_EQ(got, expected) << "n=" << n << " overlap=" << overlap;
-      IntersectSortedBranchFree(b, a, &got);
-      EXPECT_EQ(got, expected) << "n=" << n << " overlap=" << overlap;
     }
   }
 }
 
-TEST(IntersectMergeTest, BranchFreeMergeHandlesEdgeCases) {
+TEST(IntersectMergeTest, MergeHandlesEdgeCases) {
   std::vector<NodeId> out = {99};  // stale contents must be overwritten
-  IntersectSortedBranchFree({}, {}, &out);
+  IntersectSorted({}, {}, &out);
   EXPECT_TRUE(out.empty());
   const std::vector<NodeId> single = {5};
-  IntersectSortedBranchFree(single, single, &out);
+  out = {99};
+  IntersectSorted(single, single, &out);
   EXPECT_EQ(out, single);
   const std::vector<NodeId> other = {6};
-  IntersectSortedBranchFree(single, other, &out);
+  out = {99};
+  IntersectSorted(single, other, &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -625,11 +621,6 @@ TEST(IntersectMergeTest, MergeAndGallopAgreeAtTheCrossover) {
       EXPECT_EQ(got, expected)
           << "small=" << small_size << " delta=" << delta;
       IntersectSorted(large_set, small_set, &got);
-      EXPECT_EQ(got, expected)
-          << "small=" << small_size << " delta=" << delta;
-      // The branch-free merge must agree with the galloping side of the
-      // crossover too (it never gallops itself).
-      IntersectSortedBranchFree(small_set, large_set, &got);
       EXPECT_EQ(got, expected)
           << "small=" << small_size << " delta=" << delta;
     }

@@ -265,7 +265,7 @@ TEST(PreprocessTest, EmptyGraphAndSmallKPassThrough) {
   EXPECT_EQ(identity.pruned.num_edges(), g.num_edges());
 }
 
-// The partitioned stage-1 peel (per-range peels + buffered cross-range
+// The range-parallel peel (per-range peels + buffered cross-range
 // decrements + global cascade) must reach the exact fixpoint of the serial
 // cascade: same pruned CSR, same maps, same orientation, same statistics —
 // the peel is confluent and the accounting is order-independent. Forcing

@@ -2,7 +2,9 @@
 // OPT) on the same 52 mixed-model instances the randomized differential
 // harness uses, solved serially and across 1/2/4-thread pools, asserting
 // *byte-identical* solutions — same cliques, same order, same node order
-// within each clique — at every thread count.
+// within each clique — at every thread count. The heuristic sweep runs
+// with preprocessing both on and off, so the pooled solve is checked on
+// the peeled graph and on the unpeeled input alike.
 //
 // This is the contract the pool plumbing claims: HG's speculative FindOne
 // batches, GC/OPT's ordered enumeration reduction, OPT's per-component
@@ -61,23 +63,26 @@ TEST(ThreadSweepTest, HeuristicSolutionsAreByteIdenticalAcrossThreadCounts) {
     const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7000);
     const int k = 3 + case_index % 3;
     for (Method method : kMethods) {
-      SCOPED_TRACE(MethodName(method));
-      SolverOptions options;
-      options.k = k;
-      options.method = method;
-      auto serial = Solve(g, options);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      const auto expected = ToVectors(serial->set);
-      EXPECT_TRUE(VerifySolution(g, serial->set).ok());
-      for (ThreadPool* pool : pools) {
-        SCOPED_TRACE("threads=" + std::to_string(pool->num_threads()));
-        options.pool = pool;
-        auto pooled = Solve(g, options);
-        ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-        // Byte-identical: same cliques, same order, no canonicalization.
-        EXPECT_EQ(ToVectors(pooled->set), expected);
+      for (bool preprocess : {true, false}) {
+        SCOPED_TRACE(std::string(MethodName(method)) +
+                     (preprocess ? " preprocess=on" : " preprocess=off"));
+        SolverOptions options;
+        options.k = k;
+        options.method = method;
+        options.preprocess = preprocess;
+        auto serial = Solve(g, options);
+        ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+        const auto expected = ToVectors(serial->set);
+        EXPECT_TRUE(VerifySolution(g, serial->set).ok());
+        for (ThreadPool* pool : pools) {
+          SCOPED_TRACE("threads=" + std::to_string(pool->num_threads()));
+          options.pool = pool;
+          auto pooled = Solve(g, options);
+          ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+          // Byte-identical: same cliques, same order, no canonicalization.
+          EXPECT_EQ(ToVectors(pooled->set), expected);
+        }
       }
-      options.pool = nullptr;
     }
   }
 }

@@ -90,8 +90,6 @@ int Usage() {
                "(default 1)\n"
                "  solve:  --k=4 --method=HG|GC|L|LP|OPT [--out=path]\n"
                "          [--no-preprocess] [--preprocess-reorder]\n"
-               "          [--partitions=P]  partition-parallel solve "
-               "(byte-identical at any P)\n"
                "  verify: --solution=path\n"
                "  cover:  --k=5 --min-k=3 [--pairs]\n"
                "  match:  [--exact]\n"
@@ -174,7 +172,6 @@ int RunSolve(const dkc::Flags& flags, const dkc::Graph& g) {
   options.budget.memory_bytes = flags.GetInt("budget-mb", 0) * (1 << 20);
   options.preprocess = !flags.GetBool("no-preprocess", false);
   options.preprocess_reorder = flags.GetBool("preprocess-reorder", false);
-  options.partitions = static_cast<int>(flags.GetInt("partitions", 0));
   const auto pool = MakePool(flags);
   options.pool = pool.get();
   auto result = dkc::Solve(g, options);
@@ -193,17 +190,6 @@ int RunSolve(const dkc::Flags& flags, const dkc::Graph& g) {
                 pre.peeled_nodes,
                 static_cast<unsigned long long>(pre.peeled_edges),
                 pre.elapsed_ms);
-  }
-  for (const dkc::PartitionStats& ps : result->partitions) {
-    std::printf("partition %d: %u owned + %u ghost nodes "
-                "(%u boundary, %llu cut edges), %llu local edges, "
-                "%llu committed locally, %llu deferred to stitch, %.1f ms\n",
-                ps.index, ps.owned_nodes, ps.ghost_nodes, ps.boundary_nodes,
-                static_cast<unsigned long long>(ps.boundary_edges),
-                static_cast<unsigned long long>(ps.local_edges),
-                static_cast<unsigned long long>(ps.local_committed),
-                static_cast<unsigned long long>(ps.stitch_deferred),
-                ps.elapsed_ms);
   }
   std::printf("method %s k=%d -> %u disjoint cliques in %.1f ms "
               "(%.1f%% of nodes covered)\n",
