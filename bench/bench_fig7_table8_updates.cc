@@ -9,10 +9,10 @@
 // W defaults to 1000 (the paper uses 10K at its dataset scale); small
 // datasets automatically clamp to their edge counts.
 //
-// --threads=<n> runs the dynamic engine's pool-parallel paths (initial
-// solve + index build, per-update candidate-rebuild fan-outs, packing
-// sort) across n workers; maintained solutions are byte-identical to the
-// serial run at any thread count.
+// --threads=<n> feeds the dynamic engine's initial build (static solve
+// and node scoring) with n workers; the index build and the updates run
+// serially, so the per-update timings do not depend on it. Maintained
+// solutions are byte-identical to the serial run at any thread count.
 //
 // --persist additionally replays the mixed stream through the durable
 // store (WAL append + fsync per update, src/store), reporting the

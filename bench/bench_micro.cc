@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "clique/kclique.h"
-#include "core/basic_framework.h"
 #include "core/lightweight.h"
 #include "core/solver.h"
 #include "dynamic/dynamic_solver.h"
@@ -196,21 +195,6 @@ void BM_LightweightSolveThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LightweightSolveThreads)->Args({6, 2})->Args({6, 4});
-
-// HG end-to-end across a pool (speculative FindOne batches); args are
-// {k, threads}, threads == 1 is the serial sweep.
-void BM_BasicSolveThreads(benchmark::State& state) {
-  dkc::Graph g = MakeWs(2000, 16);
-  dkc::BasicOptions options;
-  options.k = static_cast<int>(state.range(0));
-  dkc::ThreadPool pool(static_cast<size_t>(state.range(1)));
-  options.pool = state.range(1) > 1 ? &pool : nullptr;
-  for (auto _ : state) {
-    auto result = dkc::SolveBasic(g, options);
-    benchmark::DoNotOptimize(result.ok());
-  }
-}
-BENCHMARK(BM_BasicSolveThreads)->Args({4, 1})->Args({4, 4});
 
 // The preprocessing pipeline itself (degeneracy order + (k-1)-core peel +
 // compaction). Args are {k, sparse}: sparse == 1 runs the prunable

@@ -33,11 +33,8 @@ struct BasicOptions {
   /// Must order exactly g.num_nodes() nodes and outlive the call.
   const Ordering* orientation = nullptr;
   Budget budget;
-  /// Optional pool for the FindOne sweep. The sweep is speculative: a batch
-  /// of roots is searched in parallel against a snapshot of the validity
-  /// mask, then accepted serially in rank order (stale finds re-searched),
-  /// which keeps the solution byte-identical at any thread count — see the
-  /// proof sketch in basic_framework.cc.
+  /// Ignored: the sweep is serial, because each root's search depends on
+  /// every earlier acceptance. Kept only until callers stop setting it.
   ThreadPool* pool = nullptr;
 };
 

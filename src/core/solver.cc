@@ -48,7 +48,6 @@ StatusOr<SolveResult> Dispatch(const Graph& g, const SolverOptions& options,
       basic.k = options.k;
       basic.orientation = orientation;
       basic.budget = options.budget;
-      basic.pool = options.pool;
       return SolveBasic(g, basic);
     }
     case Method::kGC: {

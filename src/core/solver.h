@@ -30,10 +30,11 @@ struct SolverOptions {
   int k = 3;
   Method method = Method::kLP;
   Budget budget;
-  /// Honored by every method: L/LP scoring + heap init, HG's FindOne
-  /// sweep, GC/OPT clique enumeration, OPT's clique-graph dedup and
-  /// per-component exact-MIS solves. Solutions are byte-identical at any
-  /// thread count (each parallel pass ends in a deterministic ordered
+  /// Feeds the preprocessing peel, L/LP scoring + heap init, GC/OPT clique
+  /// enumeration, OPT's clique-graph dedup and per-component exact-MIS
+  /// solves. HG's first-hit sweep runs serially: each root's search
+  /// depends on every earlier acceptance. Solutions are byte-identical at
+  /// any thread count (each parallel pass ends in a deterministic ordered
   /// reduction or an order-insensitive one).
   ThreadPool* pool = nullptr;
   /// Graph-shrinking preprocessing (graph/preprocess.h): run the solver on

@@ -1,9 +1,7 @@
 #include "dynamic/candidate_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <mutex>
 
 #include "clique/kclique.h"
 #include "core/clique_score.h"
@@ -160,15 +158,6 @@ void SolutionState::EnumerateCandidatesFor(
 
   ForEachKCliqueInSubset(
       graph_, b, k_, [&](std::span<const NodeId> nodes) {
-        // Recording mode tracks *candidates*, not raw cliques: drop the
-        // charge point of a clique rejected below so emit_used stays
-        // parallel to `out`.
-        auto reject = [&] {
-          if (budget != nullptr && budget->emit_used != nullptr) {
-            budget->emit_used->pop_back();
-          }
-          return true;
-        };
         int in_c = 0;
         int free_nodes = 0;
         for (NodeId u : nodes) {
@@ -177,12 +166,12 @@ void SolutionState::EnumerateCandidatesFor(
           } else if (node_to_clique_[u] == kNoClique) {
             ++free_nodes;
           } else {
-            return reject();  // touches another solution clique
+            return true;  // touches another solution clique
           }
         }
         // in_c == k would be C itself; free == k would contradict the
         // maximality the engine maintains, but guard anyway.
-        if (in_c < 1 || free_nodes < 1) return reject();
+        if (in_c < 1 || free_nodes < 1) return true;
         out->emplace_back(nodes.begin(), nodes.end());
         return true;
       },
@@ -196,7 +185,7 @@ size_t SolutionState::RebuildCandidatesFor(uint32_t slot, UpdateWork* meter) {
 
 namespace {
 
-// Seeds the DFS budget for one serial rebuild: the enumeration continues
+// Seeds the DFS budget for one rebuild: the enumeration continues
 // charging where the update's meter left off, against its deterministic
 // work cap (never the wall clock — see update_work.h).
 EnumBudget BudgetFromMeter(const UpdateWork& meter) {
@@ -246,86 +235,17 @@ SolutionState::RebuildOutcome SolutionState::RebuildCandidatesFor(
 }
 
 void SolutionState::RebuildCandidatesForMany(std::span<const uint32_t> slots,
-                                             ThreadPool* pool,
                                              std::vector<size_t>* counts,
                                              UpdateWork* meter) {
   if (counts != nullptr) counts->assign(slots.size(), 0);
-  // The fan-out gate (see set_parallel_rebuild_min_slots) changes only
-  // scheduling, never results: both paths are byte-identical, including
-  // budgeted outcomes.
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      slots.size() < parallel_rebuild_min_slots_) {
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const size_t n = RebuildCandidatesFor(slots[i], meter);
-      if (counts != nullptr) (*counts)[i] = n;
-    }
-    return;
-  }
-  // Enumeration reads only the graph and the free/non-free map — never the
-  // candidate slots — so fanning it out (worker-private kernels, shared
-  // cursor) and registering serially afterwards in `slots` order yields
-  // exactly the serial loop's candidates in exactly its registration
-  // order. The shared subset_kernel_ is only for the serial path.
-  //
-  // Under a meter the workers enumerate speculatively (unbudgeted, with
-  // per-candidate charge points recorded) and the serial registration loop
-  // replays the charges: a budgeted serial DFS would have emitted exactly
-  // the candidates whose charge point fits the remaining headroom, charged
-  // min(total, headroom) branch units, and cut iff the total exceeds it —
-  // so work, cuts, and the registered set match the serial path exactly,
-  // at any thread count (overshoot enumeration work is wasted, never
-  // observable).
-  std::vector<std::vector<std::vector<NodeId>>> found(slots.size());
-  std::vector<std::vector<uint64_t>> charge_points(slots.size());
-  std::vector<uint64_t> total_used(slots.size(), 0);
-  std::atomic<size_t> cursor{0};
-  const bool metered = meter != nullptr;
-  pool->RunPerWorker([&](size_t) {
-    NeighborhoodKernel kernel;
-    for (;;) {
-      const size_t i = cursor.fetch_add(1);
-      if (i >= slots.size()) break;
-      if (metered) {
-        EnumBudget recorder;  // unlimited; counts branches per slot
-        recorder.emit_used = &charge_points[i];
-        EnumerateCandidatesFor(slots[i], &found[i], &kernel, &recorder);
-        total_used[i] = recorder.used;
-      } else {
-        EnumerateCandidatesFor(slots[i], &found[i], &kernel);
-      }
-    }
-  });
   for (size_t i = 0; i < slots.size(); ++i) {
-    const uint32_t slot = slots[i];
-    KillOwnedCandidates(slot);
-    size_t registered = 0;
-    if (metered) {
-      meter->Charge(1);  // the rebuild unit, as in the serial path
-      const uint64_t headroom =
-          meter->max_work == 0
-              ? UINT64_MAX
-              : (meter->max_work > meter->work ? meter->max_work - meter->work
-                                               : 0);
-      for (size_t c = 0; c < found[i].size(); ++c) {
-        if (charge_points[i][c] > headroom) break;  // charge points ascend
-        RegisterCandidate(found[i][c], slot);
-        ++registered;
-      }
-      meter->work += std::min(total_used[i], headroom);
-      if (total_used[i] > headroom) ++meter->rebuild_cuts;
-    } else {
-      for (const auto& nodes : found[i]) RegisterCandidate(nodes, slot);
-      registered = found[i].size();
-    }
-    if (counts != nullptr) (*counts)[i] = registered;
+    const size_t n = RebuildCandidatesFor(slots[i], meter);
+    if (counts != nullptr) (*counts)[i] = n;
   }
-  MaybeCompactNodeCands();
 }
 
-void SolutionState::RebuildAllCandidates(ThreadPool* pool) {
-  std::vector<uint32_t> slots;
-  ForEachSlot([&slots](uint32_t s) { slots.push_back(s); });
-  RebuildCandidatesForMany(slots, pool, nullptr);
+void SolutionState::RebuildAllCandidates() {
+  ForEachSlot([this](uint32_t s) { RebuildCandidatesFor(s); });
 }
 
 size_t SolutionState::KillCandidatesWithEdge(NodeId u, NodeId v) {

@@ -31,7 +31,6 @@
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace dkc {
 
@@ -112,36 +111,16 @@ class SolutionState {
   RebuildOutcome RebuildCandidatesFor(uint32_t slot, NodeId u, NodeId v,
                                       UpdateWork* meter = nullptr);
 
-  /// Rebuild several slots (each alive, no duplicates), optionally fanning
-  /// the read-only enumeration across `pool` with worker-private kernels;
-  /// registration stays serial in `slots` order, so candidates, their
-  /// registration order, and hence every downstream tie-break are
-  /// byte-identical to calling RebuildCandidatesFor per slot. Fills
-  /// `counts` (when non-null) with the per-slot candidate counts. The
-  /// pooled fan-out enumerates speculatively without the meter and then
-  /// replays the charges serially in `slots` order (truncating exactly
-  /// where the serial DFS would have cut), so budgeted outcomes — work,
-  /// cuts, registered candidates — are byte-identical at any thread count.
+  /// Rebuild several slots (each alive, no duplicates) in `slots` order,
+  /// charging `meter` as RebuildCandidatesFor does. Fills `counts` (when
+  /// non-null) with the per-slot candidate counts.
   void RebuildCandidatesForMany(std::span<const uint32_t> slots,
-                                ThreadPool* pool, std::vector<size_t>* counts,
+                                std::vector<size_t>* counts,
                                 UpdateWork* meter = nullptr);
 
-  /// Algorithm 5 for the whole solution, optionally in parallel (never
-  /// budgeted: the initial index build must be complete).
-  void RebuildAllCandidates(ThreadPool* pool = nullptr);
-
-  /// Minimum batch size before RebuildCandidatesForMany fans out across a
-  /// pool (default 8): each fan-out pays one Submit/Wait round trip plus a
-  /// worker-private kernel per thread, which swamps the microsecond-scale
-  /// enumerations of the 2-3-slot batches typical per update. Scheduling
-  /// only — results are byte-identical either way (DynamicOptions plumbs
-  /// this through as parallel_rebuild_min_slots).
-  void set_parallel_rebuild_min_slots(size_t min_slots) {
-    parallel_rebuild_min_slots_ = min_slots;
-  }
-  size_t parallel_rebuild_min_slots() const {
-    return parallel_rebuild_min_slots_;
-  }
+  /// Algorithm 5 for the whole solution (never budgeted: the initial index
+  /// build must be complete).
+  void RebuildAllCandidates();
 
   /// Kill every candidate whose clique uses edge (u, v) — edge-deletion
   /// maintenance. Returns how many died.
@@ -190,8 +169,6 @@ class SolutionState {
   /// cross-validates the derived counters, and runs CheckInvariants;
   /// returns Corruption on any mismatch (the caller has already verified
   /// checksums, so a failure here means a logic bug or a forged file).
-  /// The restored state uses default options (parallel_rebuild_min_slots);
-  /// callers re-apply their configuration.
   static StatusOr<std::unique_ptr<SolutionState>> Deserialize(
       std::string_view graph_bytes, std::string_view state_bytes);
 
@@ -230,8 +207,7 @@ class SolutionState {
   }
   void KillCandidate(uint32_t idx);
   // Kills every alive candidate of `slot` and clears its cands list — the
-  // shared first half of a rebuild (serial and pooled paths must stay
-  // identical, so there is exactly one implementation).
+  // first half of a rebuild, shared with RemoveSolutionClique.
   void KillOwnedCandidates(uint32_t slot);
   uint32_t RegisterCandidate(std::span<const NodeId> nodes, uint32_t owner);
   // Drops dead refs from every per-node list once they outnumber
@@ -241,11 +217,9 @@ class SolutionState {
   // Called at the end of the public mutators (never mid-iteration).
   void MaybeCompactNodeCands();
   // Enumerates valid candidates for `slot` into `out` without mutating the
-  // index, driving the subset DFS through `kernel` (callers on the serial
-  // per-update path pass `&subset_kernel_`; the parallel whole-solution
-  // rebuild passes worker-private kernels). `budget`, when non-null,
-  // charges/truncates the DFS (or records per-emission charge points for
-  // the pooled replay — see EnumBudget).
+  // index, driving the subset DFS through `kernel` (rebuilds pass
+  // `&subset_kernel_`; the const completeness check passes its own).
+  // `budget`, when non-null, charges/truncates the DFS (see EnumBudget).
   void EnumerateCandidatesFor(uint32_t slot,
                               std::vector<std::vector<NodeId>>* out,
                               NeighborhoodKernel* kernel,
@@ -270,7 +244,6 @@ class SolutionState {
   std::vector<std::vector<CandRef>> node_cands_;
   size_t node_cand_refs_ = 0;  // total entries across node_cands_ lists
   Count alive_candidates_ = 0;
-  size_t parallel_rebuild_min_slots_ = 8;
 };
 
 }  // namespace dkc

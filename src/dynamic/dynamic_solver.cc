@@ -33,11 +33,10 @@ std::pair<std::unique_ptr<SolutionState>, double> SeedState(
   }
   auto state = std::make_unique<SolutionState>(DynamicGraph(g), options.k,
                                                std::move(node_scores));
-  state->set_parallel_rebuild_min_slots(options.parallel_rebuild_min_slots);
   for (CliqueId c = 0; c < solution.size(); ++c) {
     state->AddSolutionClique(solution.Get(c));
   }
-  state->RebuildAllCandidates(options.pool);  // Algorithm 5
+  state->RebuildAllCandidates();  // Algorithm 5
   return {std::move(state), timer.ElapsedMillis()};
 }
 
@@ -87,8 +86,6 @@ StatusOr<DynamicSolver> DynamicSolver::FromState(
   if (state->k() != options.k) {
     return Status::InvalidArgument("state k does not match options.k");
   }
-  // Scheduling configuration is not persisted; re-apply the caller's.
-  state->set_parallel_rebuild_min_slots(options.parallel_rebuild_min_slots);
   return DynamicSolver(std::move(state), DynamicBuildStats{}, options);
 }
 
@@ -192,11 +189,9 @@ void DynamicSolver::EnqueueOwnersOfNewCandidates(NodeId u, NodeId v,
                                                  UpdateWork* meter) {
   const std::vector<uint32_t> owners = CollectOwnersOfNewCandidates(u, v);
   // The rebuilds register the new edge's candidates as a side effect and
-  // charge `meter` themselves (possibly truncated by its cap); the fan-out
-  // runs the enumerations across the pool with byte-identical registration
-  // order and budget outcomes (see RebuildCandidatesForMany).
+  // charge `meter` themselves (possibly truncated by its cap).
   std::vector<size_t> counts;
-  state_->RebuildCandidatesForMany(owners, pool_, &counts, meter);
+  state_->RebuildCandidatesForMany(owners, &counts, meter);
   for (size_t i = 0; i < owners.size(); ++i) {
     if (counts[i] > 0) queue->push_back(state_->RefOf(owners[i]));
   }
@@ -241,7 +236,7 @@ Status DynamicSolver::InsertEdge(NodeId u, NodeId v) {
     const auto rebuilt = state_->RebuildCandidatesFor(owner, u, v, &meter);
     if (rebuilt.has_edge) {
       queue.push_back(state_->RefOf(owner));
-      swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
+      swaps = TrySwapLoop(state_.get(), &queue, &meter);
     }
     FinishUpdate(meter, swaps);
     return Status::OK();
@@ -265,7 +260,7 @@ Status DynamicSolver::InsertEdge(NodeId u, NodeId v) {
   }
   EnqueueOwnersOfNewCandidates(u, v, &queue, &meter);
   if (!queue.empty()) {
-    swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
+    swaps = TrySwapLoop(state_.get(), &queue, &meter);
   }
   FinishUpdate(meter, swaps);
   return Status::OK();
@@ -294,10 +289,10 @@ Status DynamicSolver::DeleteEdge(NodeId u, NodeId v) {
   // the swap loop chase follow-on opportunities. The repair itself is
   // mandatory and runs to completion whatever the budget says; only the
   // follow-on loop can be cut short.
-  auto replacement = PackDisjointCandidates(*state_, cu, pool_);
+  auto replacement = PackDisjointCandidates(*state_, cu);
   SwapQueue queue;
-  CommitReplacement(state_.get(), cu, replacement, &queue, &meter, pool_);
-  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
+  CommitReplacement(state_.get(), cu, replacement, &queue, &meter);
+  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter);
   FinishUpdate(meter, swaps);
   return Status::OK();
 }
@@ -318,7 +313,7 @@ uint64_t EdgeKey(NodeId u, NodeId v) {
 // the enqueue rule the corresponding serial update path would have used:
 //
 //   * want_any: enqueue iff the rebuilt slot has any candidate (the rule
-//     of CommitReplacement and of the both-free insert's owner fan-out);
+//     of CommitReplacement and of the both-free insert's owner rebuilds);
 //   * probes:   enqueue iff some rebuilt candidate contains the probed
 //     edge (the has_edge rule of the one-endpoint-free insert);
 //   * neither ("rebuild only"): never enqueue (the direct-add insert —
@@ -511,7 +506,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
           state_->RebuildCandidatesFor(cu, &meter);
         }
         dirty.Deactivate(cu);
-        const auto replacement = PackDisjointCandidates(*state_, cu, pool_);
+        const auto replacement = PackDisjointCandidates(*state_, cu);
         for (const uint32_t slot :
              StageReplacement(state_.get(), cu, replacement)) {
           ustat.slots_marked += dirty.MarkWantAny(slot) ? 1 : 0;
@@ -522,7 +517,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
     last_batch_.per_update.push_back(ustat);
   }
 
-  // --- boundary: one deduped rebuild fan-out, one swap loop ------------
+  // --- boundary: one deduped rebuild pass, one swap loop --------------
   std::vector<uint32_t> slots;
   std::vector<const DirtySet::Mark*> marks;
   dirty.ForEachActive([&](uint32_t slot, const DirtySet::Mark& mark) {
@@ -530,7 +525,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
     marks.push_back(&mark);
   });
   std::vector<size_t> counts;
-  state_->RebuildCandidatesForMany(slots, pool_, &counts, &meter);
+  state_->RebuildCandidatesForMany(slots, &counts, &meter);
 
   SwapQueue queue;
   for (size_t i = 0; i < slots.size(); ++i) {
@@ -551,7 +546,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
     }
     if (enqueue) queue.push_back(state_->RefOf(slots[i]));
   }
-  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
+  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter);
 
   // --- finalize: stats, counters, publish ------------------------------
   last_batch_.updates = ops.size();

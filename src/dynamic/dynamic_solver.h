@@ -38,16 +38,11 @@ struct DynamicOptions {
   /// through last_update_stats(). With a pure work cap the abort outcome
   /// is byte-identical at every thread count. Zero fields = unlimited.
   Budget update_budget;
-  /// Worker pool for the initial solve + index build *and* the per-update
-  /// parallel paths (candidate-rebuild fan-out in insertions and swap
-  /// commits, packing's candidate sort). Solutions and abort outcomes are
-  /// byte-identical at any thread count.
+  /// Worker pool for the initial static solve and node scoring only. The
+  /// candidate-index build and every update run serially: per-update
+  /// rebuilds are microsecond-scale, too small to repay a pool round trip.
+  /// Solutions and abort outcomes are byte-identical at any thread count.
   ThreadPool* pool = nullptr;
-  /// Minimum rebuild batch size before the per-update candidate-rebuild
-  /// fan-out engages the pool (scheduling only; results identical). The
-  /// 2-3-slot batches typical per update lose to the Submit/Wait round
-  /// trip, hence the high default; tune on multi-core hosts.
-  size_t parallel_rebuild_min_slots = 8;
 };
 
 struct DynamicBuildStats {
@@ -95,7 +90,7 @@ struct BatchStats {
   size_t updates = 0;
   size_t inserts = 0;
   size_t deletes = 0;
-  /// Deduped boundary rebuild fan-out: dirty slots rebuilt once each,
+  /// Deduped boundary rebuild: dirty slots rebuilt once each,
   /// however many updates in the epoch touched them. dirty_slots <
   /// slots-marked-summed-over-updates is the measurable dedup win on
   /// bursty neighborhoods.
@@ -148,9 +143,8 @@ class DynamicSolver {
   /// mutation, candidate kills through deleted edges, broken-clique
   /// repair, direct adds of brand-new all-free cliques), while candidate
   /// rebuilds are only *marked*; at the epoch boundary each dirty slot is
-  /// rebuilt exactly once via a single RebuildCandidatesForMany fan-out —
-  /// the dedup win on bursty streams, and batches finally big enough to
-  /// feed parallel_rebuild_min_slots — followed by one swap loop and an
+  /// rebuilt exactly once via a single RebuildCandidatesForMany call —
+  /// the dedup win on bursty streams — followed by one swap loop and an
   /// atomic SolutionView publish.
   ///
   /// Determinism contract: batch boundaries are part of the stream. The
@@ -232,7 +226,6 @@ class DynamicSolver {
       : state_(std::move(state)),
         build_stats_(stats),
         update_budget_(options.update_budget),
-        pool_(options.pool),
         publisher_(std::make_unique<SolutionPublisher>()) {
     PublishView();  // readers always have a view, epoch 0 = the build
   }
@@ -260,7 +253,6 @@ class DynamicSolver {
   std::unique_ptr<SolutionState> state_;  // stable address for internals
   DynamicBuildStats build_stats_;
   Budget update_budget_;
-  ThreadPool* pool_ = nullptr;
   // unique_ptr keeps the publisher's address stable across solver moves —
   // readers hold the publisher, not the solver.
   std::unique_ptr<SolutionPublisher> publisher_;

@@ -56,18 +56,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::RunPerWorker(const std::function<void(size_t)>& fn) {
-  const size_t workers = num_threads();
-  if (workers <= 1) {
-    fn(0);
-    return;
-  }
-  for (size_t w = 0; w < workers; ++w) {
-    Submit([&fn, w] { fn(w); });
-  }
-  Wait();
-}
-
 void ThreadPool::ParallelFor(size_t count,
                              const std::function<void(size_t)>& body) {
   if (count == 0) return;

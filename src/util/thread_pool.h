@@ -1,9 +1,12 @@
 // A small fixed-size thread pool with a parallel-for helper.
 //
 // The paper parallelizes two phases (Algorithm 3 HeapInit and Algorithm 5
-// candidate-index construction) with "for each ... in parallel". We use a
-// chunked dynamic-scheduling ParallelFor, which is all those loops need; no
-// futures or task graphs.
+// candidate-index construction) with "for each ... in parallel". Here the
+// pool feeds HeapInit, the clique scoring/counting and listing passes,
+// OPT's clique-graph dedup and per-component MIS, and the (k-1)-core peel;
+// Algorithm 5 runs serially, because its pooled build did not beat the
+// serial one on 4 cores. A chunked dynamic-scheduling ParallelFor is all
+// those loops need; no futures or task graphs.
 
 #ifndef DKC_UTIL_THREAD_POOL_H_
 #define DKC_UTIL_THREAD_POOL_H_
@@ -40,14 +43,6 @@ class ThreadPool {
   /// Blocks until complete. `body` must be safe to call concurrently for
   /// distinct indices. With one thread (or tiny ranges) runs inline.
   void ParallelFor(size_t count, const std::function<void(size_t)>& body);
-
-  /// Submit `fn(worker_index)` once per pool thread and block until every
-  /// instance returns. The building block for passes that keep worker-
-  /// private scratch (a kernel + arena) and pull work items off a shared
-  /// atomic cursor — the candidate-index rebuild fan-outs use it so the
-  /// submit/cursor boilerplate lives in one place. With an empty pool runs
-  /// fn(0) inline.
-  void RunPerWorker(const std::function<void(size_t)>& fn);
 
  private:
   void WorkerLoop();

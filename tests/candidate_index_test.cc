@@ -140,28 +140,6 @@ TEST(SolutionStateTest, EnsureNodeCapacityGrows) {
   EXPECT_TRUE(state.CheckInvariants(&error)) << error;
 }
 
-TEST(SolutionStateTest, ParallelRebuildMatchesSerial) {
-  Graph g = testing::RandomGraph(300, 0.05, /*seed=*/110);
-  // Seed a solution with LP-style greedy: just use SolveBasic via cliques...
-  // Simpler: find disjoint triangles greedily by brute force.
-  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
-  SolutionState parallel(DynamicGraph(g), 3, ScoresFor(g, 3));
-  std::vector<uint8_t> used(g.num_nodes(), 0);
-  for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
-    if (used[tri[0]] || used[tri[1]] || used[tri[2]]) continue;
-    for (NodeId u : tri) used[u] = 1;
-    serial.AddSolutionClique(tri);
-    parallel.AddSolutionClique(tri);
-  }
-  serial.RebuildAllCandidates(nullptr);
-  ThreadPool pool(4);
-  parallel.RebuildAllCandidates(&pool);
-  EXPECT_EQ(serial.num_alive_candidates(), parallel.num_alive_candidates());
-  std::string error;
-  EXPECT_TRUE(serial.CheckInvariants(&error)) << error;
-  EXPECT_TRUE(parallel.CheckInvariants(&error)) << error;
-}
-
 TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
   // Satellite 3: the rebuild answers "did (u,v) create a candidate here?"
   // during registration, replacing InsertEdge's CandidatesOf re-scan.
@@ -182,42 +160,6 @@ TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
   EXPECT_FALSE(outcome.has_edge);
   // The count-only overload agrees.
   EXPECT_EQ(state.RebuildCandidatesFor(c1), 2u);
-}
-
-TEST(SolutionStateTest, RebuildManyMatchesSerialExactly) {
-  // The pooled fan-out must reproduce the serial per-slot loop to the
-  // byte: same candidates, same registration order per slot.
-  Graph g = testing::RandomGraph(200, 0.07, /*seed=*/220);
-  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
-  SolutionState pooled(DynamicGraph(g), 3, ScoresFor(g, 3));
-  pooled.set_parallel_rebuild_min_slots(1);  // engage the pool regardless
-  std::vector<uint8_t> used(g.num_nodes(), 0);
-  std::vector<uint32_t> slots;
-  for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
-    if (used[tri[0]] || used[tri[1]] || used[tri[2]]) continue;
-    for (NodeId u : tri) used[u] = 1;
-    slots.push_back(serial.AddSolutionClique(tri));
-    pooled.AddSolutionClique(tri);
-  }
-  ASSERT_GE(slots.size(), 2u);
-  std::vector<size_t> serial_counts, pooled_counts;
-  serial.RebuildCandidatesForMany(slots, nullptr, &serial_counts);
-  ThreadPool pool(4);
-  pooled.RebuildCandidatesForMany(slots, &pool, &pooled_counts);
-  EXPECT_EQ(serial_counts, pooled_counts);
-  EXPECT_EQ(serial.num_alive_candidates(), pooled.num_alive_candidates());
-  for (uint32_t s : slots) {
-    const auto a = serial.CandidatesOf(s);
-    const auto b = pooled.CandidatesOf(s);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].nodes, b[i].nodes);  // order matters: registration order
-      EXPECT_EQ(a[i].score, b[i].score);
-    }
-  }
-  std::string error;
-  EXPECT_TRUE(pooled.CheckInvariants(&error)) << error;
-  EXPECT_TRUE(pooled.CheckCandidateCompleteness(&error)) << error;
 }
 
 TEST(SolutionStateTest, MeteredRebuildCutsLeaveValidButIncompleteIndex) {
@@ -248,64 +190,70 @@ TEST(SolutionStateTest, MeteredRebuildCutsLeaveValidButIncompleteIndex) {
   EXPECT_TRUE(state.CheckCandidateCompleteness(&error)) << error;
 }
 
-TEST(SolutionStateTest, BudgetedRebuildManyMatchesSerialAtEveryCap) {
-  // The pooled fan-out enumerates speculatively and replays the meter
-  // serially; registered candidates, work, and cut counts must equal the
-  // serial loop's for any cap — including caps that truncate mid-slot.
+TEST(SolutionStateTest, BudgetedRebuildManyTruncatesInSlotOrderAtEveryCap) {
+  // A metered multi-slot rebuild charges the slots in `slots` order, each
+  // one unit plus one per DFS branch entered. For any cap — including caps
+  // that truncate mid-slot — every slot that fits registers its complete
+  // candidate set, the first slot that does not is cut at a branch
+  // boundary (a registration-order prefix of its set), and every later
+  // slot is cut before its first branch.
   Graph g = testing::RandomGraph(200, 0.07, /*seed=*/220);
-  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
-  SolutionState pooled(DynamicGraph(g), 3, ScoresFor(g, 3));
-  pooled.set_parallel_rebuild_min_slots(1);  // engage the pool regardless
+  SolutionState state(DynamicGraph(g), 3, ScoresFor(g, 3));
   std::vector<uint8_t> used(g.num_nodes(), 0);
   std::vector<uint32_t> slots;
   for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
     if (used[tri[0]] || used[tri[1]] || used[tri[2]]) continue;
     for (NodeId u : tri) used[u] = 1;
-    slots.push_back(serial.AddSolutionClique(tri));
-    pooled.AddSolutionClique(tri);
+    slots.push_back(state.AddSolutionClique(tri));
   }
   ASSERT_GE(slots.size(), 4u);
-  ThreadPool pool(4);
+
+  // Unbudgeted reference: each slot's complete set and its charge.
+  std::vector<std::vector<SolutionState::CandidateView>> full;
+  std::vector<uint64_t> cost;
+  for (uint32_t s : slots) {
+    UpdateWork meter;
+    state.RebuildCandidatesFor(s, &meter);
+    full.push_back(state.CandidatesOf(s));
+    cost.push_back(meter.work);
+  }
+
   bool some_cap_cut_mid_batch = false;
   for (uint64_t cap : {uint64_t{0}, uint64_t{2}, uint64_t{9}, uint64_t{33},
                        uint64_t{1000000}}) {
     SCOPED_TRACE("cap=" + std::to_string(cap));
-    UpdateWork serial_meter, pooled_meter;
-    serial_meter.max_work = cap;
-    pooled_meter.max_work = cap;
-    std::vector<size_t> serial_counts, pooled_counts;
-    serial.RebuildCandidatesForMany(slots, nullptr, &serial_counts,
-                                    &serial_meter);
-    pooled.RebuildCandidatesForMany(slots, &pool, &pooled_counts,
-                                    &pooled_meter);
-    EXPECT_EQ(serial_counts, pooled_counts);
-    EXPECT_EQ(serial_meter.work, pooled_meter.work);
-    EXPECT_EQ(serial_meter.rebuild_cuts, pooled_meter.rebuild_cuts);
-    if (serial_meter.rebuild_cuts > 0 &&
-        serial_meter.rebuild_cuts < slots.size()) {
-      some_cap_cut_mid_batch = true;
-    }
-    for (uint32_t s : slots) {
-      const auto a = serial.CandidatesOf(s);
-      const auto b = pooled.CandidatesOf(s);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].nodes, b[i].nodes);
+    UpdateWork meter;
+    meter.max_work = cap;
+    std::vector<size_t> counts;
+    state.RebuildCandidatesForMany(slots, &counts, &meter);
+    ASSERT_EQ(counts.size(), slots.size());
+    uint64_t expected_work = 0;
+    uint64_t expected_cuts = 0;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const auto got = state.CandidatesOf(slots[i]);
+      EXPECT_EQ(counts[i], got.size());
+      ASSERT_LE(got.size(), full[i].size());
+      for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c].nodes, full[i][c].nodes);  // registration order
+      }
+      if (cap == 0 || expected_work + cost[i] <= cap) {
+        expected_work += cost[i];
+        EXPECT_EQ(got.size(), full[i].size());
+      } else {
+        expected_work = std::max(expected_work + 1, cap);
+        ++expected_cuts;
       }
     }
+    EXPECT_EQ(meter.work, expected_work);
+    EXPECT_EQ(meter.rebuild_cuts, expected_cuts);
+    if (meter.rebuild_cuts > 0 && meter.rebuild_cuts < slots.size()) {
+      some_cap_cut_mid_batch = true;
+    }
     std::string error;
-    EXPECT_TRUE(pooled.CheckInvariants(&error)) << error;
+    EXPECT_TRUE(state.CheckInvariants(&error)) << error;
   }
   EXPECT_TRUE(some_cap_cut_mid_batch)
       << "no cap exercised a partial truncation; adjust the cap list";
-}
-
-TEST(SolutionStateTest, ParallelRebuildGateDefaultsToEightAndIsTunable) {
-  Graph g = PaperFig5G1();
-  SolutionState state = Fig5State(g);
-  EXPECT_EQ(state.parallel_rebuild_min_slots(), 8u);
-  state.set_parallel_rebuild_min_slots(2);
-  EXPECT_EQ(state.parallel_rebuild_min_slots(), 2u);
 }
 
 TEST(SolutionStateTest, CompletenessCheckerCatchesMissingCandidates) {

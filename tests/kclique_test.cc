@@ -244,12 +244,13 @@ TEST(SubsetCliqueTest, BudgetTruncatesAtExactBranchBoundaries) {
 
   std::vector<std::vector<NodeId>> reference;
   std::vector<uint64_t> charge_points;
-  EnumBudget recorder;
-  recorder.emit_used = &charge_points;
+  EnumBudget recorder;  // unlimited; its `used` at each emission is the
+                        // clique's charge point
   ForEachKCliqueInSubset(
       g, all, 3,
       [&](std::span<const NodeId> nodes) {
         reference.emplace_back(nodes.begin(), nodes.end());
+        charge_points.push_back(recorder.used);
         return true;
       },
       nullptr, &recorder);

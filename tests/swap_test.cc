@@ -136,10 +136,10 @@ TEST(SwapTest, CommitReplacementRebuildsAffectedNeighbors) {
   EXPECT_TRUE(state.CheckInvariants(&error)) << error;
 }
 
-TEST(PackTest, ParallelSortMatchesSerialOnLargeCandidateSets) {
-  // A hub clique with ~90 candidate triangles (well past the parallel-sort
-  // threshold): the pooled pack must equal the serial pack byte for byte,
-  // including score ties resolved by registration order.
+TEST(PackTest, EqualScoreCandidatesPackInRegistrationOrder) {
+  // A hub clique with ~90 candidate triangles, every one of the same
+  // score: the pack must take them in registration order, so each hub
+  // node's first-registered candidate wins.
   GraphBuilder b;
   b.AddEdge(0, 1);
   b.AddEdge(1, 2);
@@ -157,11 +157,19 @@ TEST(PackTest, ParallelSortMatchesSerialOnLargeCandidateSets) {
   const uint32_t c1 = state.AddSolutionClique(std::vector<NodeId>{0, 1, 2});
   ASSERT_GE(state.RebuildCandidatesFor(c1), 90u);
 
-  const auto serial = PackDisjointCandidates(state, c1, nullptr);
-  ThreadPool pool2(2), pool4(4);
-  EXPECT_EQ(PackDisjointCandidates(state, c1, &pool2), serial);
-  EXPECT_EQ(PackDisjointCandidates(state, c1, &pool4), serial);
-  EXPECT_GE(serial.size(), 3u);  // one disjoint pick per hub node
+  const auto candidates = state.CandidatesOf(c1);  // registration order
+  std::vector<std::vector<NodeId>> expected;
+  std::vector<uint8_t> hub_taken(3, 0);
+  for (const auto& cand : candidates) {
+    ASSERT_EQ(cand.score, candidates.front().score);
+    const NodeId hub = *std::min_element(cand.nodes.begin(), cand.nodes.end());
+    ASSERT_LT(hub, 3u);
+    if (hub_taken[hub]) continue;
+    hub_taken[hub] = 1;
+    expected.push_back(cand.nodes);
+  }
+  ASSERT_EQ(expected.size(), 3u);  // one disjoint pick per hub node
+  EXPECT_EQ(PackDisjointCandidates(state, c1), expected);
 }
 
 TEST(SwapTest, BudgetAbortsLoopAtPopBoundary) {

@@ -6,10 +6,11 @@
 // with preprocessing both on and off, so the pooled solve is checked on
 // the peeled graph and on the unpeeled input alike.
 //
-// This is the contract the pool plumbing claims: HG's speculative FindOne
-// batches, GC/OPT's ordered enumeration reduction, OPT's per-component
-// exact-MIS solves and L/LP's heap passes must all be deterministic up to
-// the last byte regardless of scheduling. OPT additionally runs under a
+// This is the contract the pool plumbing claims: the preprocessing peel,
+// GC/OPT's ordered enumeration reduction, OPT's per-component exact-MIS
+// solves and L/LP's heap passes must all be deterministic up to the last
+// byte regardless of scheduling (HG's sweep is serial; its pooled runs
+// exercise only the peel). OPT additionally runs under a
 // *branch budget* instead of a wall-clock deadline: whether an instance
 // aborts is then a property of the instance, not of timing, so even the
 // abort outcomes must agree across thread counts.
@@ -174,11 +175,12 @@ TEST(ThreadSweepTest, OptOutcomesAreByteIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------------
 // Dynamic engine sweep: the same 10 random update streams the differential
 // harness fuzzes, replayed serially and across 1/2/4-thread pools, with and
-// without a per-update work budget. The pool parallelizes the candidate-
-// rebuild fan-outs and the packing sort; the budget's max_branch_nodes cap
-// is deterministic by design. So at every thread count the maintained
-// solution must be byte-identical after every update batch, and the
-// per-update abort outcomes must match the serial run exactly.
+// without a per-update work budget. The pool feeds only the initial build
+// (static solve and node scoring); the updates themselves run serially,
+// and the budget's max_branch_nodes cap is deterministic by design. So at
+// every thread count the maintained solution must be byte-identical after
+// every update batch, and the per-update abort outcomes must match the
+// serial run exactly.
 
 struct StreamTrace {
   std::vector<uint8_t> aborted;              // per update
@@ -259,8 +261,7 @@ TEST(ThreadSweepTest, DynamicStreamsAreByteIdenticalAcrossThreadCounts) {
         const StreamTrace pooled =
             RunStream(initial, ops, k, pool, budget, kBatch);
         // Identical abort outcomes, update by update — including where the
-        // budget cut a rebuild enumeration mid-DFS (the pooled fan-out
-        // replays the serial DFS's truncation point exactly)...
+        // budget cut a rebuild enumeration mid-DFS...
         EXPECT_EQ(pooled.aborted, serial.aborted);
         EXPECT_EQ(pooled.work, serial.work);
         EXPECT_EQ(pooled.rebuild_cuts, serial.rebuild_cuts);
@@ -281,11 +282,11 @@ TEST(ThreadSweepTest, DynamicStreamsAreByteIdenticalAcrossThreadCounts) {
 
 // ---------------------------------------------------------------------------
 // Batched ingestion sweep: the same streams pushed through ApplyBatch in
-// epochs of 1, 8, and 64. The epoch boundary runs the deduped rebuild
-// fan-out (the same pool plumbing as the per-update paths), so the
-// maintained solution and the per-epoch work/abort traces must be
-// byte-identical at every thread count — and an epoch of one update must
-// reproduce the unbatched engine exactly, snapshot for snapshot.
+// epochs of 1, 8, and 64. The pool feeds only the initial build; each
+// epoch boundary runs the deduped rebuild serially. So the maintained
+// solution and the per-epoch work/abort traces must be byte-identical at
+// every thread count — and an epoch of one update must reproduce the
+// unbatched engine exactly, snapshot for snapshot.
 
 struct EpochTrace {
   std::vector<uint8_t> aborted;    // per epoch

@@ -194,23 +194,6 @@ TEST(ThreadPoolTest, ParallelForTinyRangeRunsInline) {
   EXPECT_EQ(counter.load(), 3);
 }
 
-TEST(ThreadPoolTest, RunPerWorkerRunsOncePerThread) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(pool.num_threads());
-  pool.RunPerWorker([&](size_t w) { hits[w].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, RunPerWorkerSingleThreadRunsInline) {
-  ThreadPool pool(1);
-  int calls = 0;
-  pool.RunPerWorker([&](size_t w) {
-    EXPECT_EQ(w, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(ThreadPoolTest, SequentialSubmitBatches) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};

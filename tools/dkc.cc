@@ -40,9 +40,11 @@
 //
 // All subcommands also accept --ws=n,degree,beta to synthesize a
 // Watts-Strogatz graph instead of --file (handy without datasets), and
-// --threads=n to run the pool-parallel passes (stats counting, every
-// solve method, and the dynamic engine's per-update fan-outs) across n
-// worker threads; solutions are byte-identical at any thread count.
+// --threads=n to run the pool-parallel passes (stats counting, the solve
+// methods' scoring, listing and MIS passes, and the dynamic engine's
+// initial solve and scoring) across n worker threads; HG's sweep and the
+// per-update maintenance stay serial. Solutions are byte-identical at any
+// thread count.
 
 #include <algorithm>
 #include <atomic>
@@ -86,8 +88,10 @@ int Usage() {
                "usage: dkc <stats|solve|verify|cover|match|update|serve> "
                "[flags]\n"
                "  --file=<edge list>  or  --ws=<n>,<degree>,<beta>\n"
-               "  --threads=<n>  worker pool for stats/solve/update "
-               "(default 1)\n"
+               "  --threads=<n>  worker pool for stats, solve, and update's "
+               "initial build\n"
+               "                 (default 1; HG and per-update maintenance "
+               "run serially)\n"
                "  solve:  --k=4 --method=HG|GC|L|LP|OPT [--out=path]\n"
                "          [--no-preprocess] [--preprocess-reorder]\n"
                "  verify: --solution=path\n"
@@ -95,7 +99,7 @@ int Usage() {
                "  match:  [--exact]\n"
                "  stats:  [--kmin=3 --kmax=6]\n"
                "  update: --k=3 [--updates=2000] [--update-budget-ms=x]\n"
-               "          [--update-branch-budget=n] [--rebuild-min-slots=n]\n"
+               "          [--update-branch-budget=n]\n"
                "          [--batch=N] [--hot=H]\n"
                "  serve:  --snapshot=path --wal=path --k=3\n"
                "          [--churn=n | --updates-from=path|-]\n"
@@ -258,9 +262,6 @@ int RunUpdate(const dkc::Flags& flags, const dkc::Graph& g) {
   options.update_budget.time_ms = flags.GetDouble("update-budget-ms", 0);
   options.update_budget.max_branch_nodes =
       static_cast<uint64_t>(flags.GetInt("update-branch-budget", 0));
-  options.parallel_rebuild_min_slots = static_cast<size_t>(flags.GetInt(
-      "rebuild-min-slots",
-      static_cast<long>(dkc::DynamicOptions{}.parallel_rebuild_min_slots)));
   const auto pool = MakePool(flags);
   options.pool = pool.get();
 
