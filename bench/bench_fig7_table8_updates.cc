@@ -9,9 +9,9 @@
 // W defaults to 1000 (the paper uses 10K at its dataset scale); small
 // datasets automatically clamp to their edge counts.
 //
-// --threads=<n> feeds the dynamic engine's initial build (static solve
-// and node scoring) with n workers; the index build and the updates run
-// serially, so the per-update timings do not depend on it. Maintained
+// --threads=<n> feeds the dynamic engine's initial build (static solve,
+// node scoring and index build) with n workers; the updates run serially,
+// so the per-update timings do not depend on it. Maintained
 // solutions are byte-identical to the serial run at any thread count.
 //
 // --persist additionally replays the mixed stream through the durable

@@ -1,6 +1,7 @@
 #include "dynamic/candidate_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 #include "clique/kclique.h"
@@ -234,18 +235,34 @@ SolutionState::RebuildOutcome SolutionState::RebuildCandidatesFor(
   return outcome;
 }
 
-void SolutionState::RebuildCandidatesForMany(std::span<const uint32_t> slots,
-                                             std::vector<size_t>* counts,
-                                             UpdateWork* meter) {
-  if (counts != nullptr) counts->assign(slots.size(), 0);
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const size_t n = RebuildCandidatesFor(slots[i], meter);
-    if (counts != nullptr) (*counts)[i] = n;
+void SolutionState::RebuildAllCandidates(ThreadPool* pool) {
+  std::vector<uint32_t> slots;
+  ForEachSlot([&slots](uint32_t s) { slots.push_back(s); });
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    for (uint32_t s : slots) RebuildCandidatesFor(s);
+    return;
   }
-}
-
-void SolutionState::RebuildAllCandidates() {
-  ForEachSlot([this](uint32_t s) { RebuildCandidatesFor(s); });
+  // Enumeration reads only the graph and the free/non-free map, never the
+  // candidate slots, so workers enumerate slots off a shared cursor with
+  // private kernels. Registering serially in slot order afterwards yields
+  // exactly the serial loop's candidates in its registration order.
+  std::vector<std::vector<std::vector<NodeId>>> found(slots.size());
+  std::atomic<size_t> cursor{0};
+  for (size_t w = 0; w < pool->num_threads(); ++w) {
+    pool->Submit([&] {
+      NeighborhoodKernel kernel;
+      for (size_t i = cursor.fetch_add(1); i < slots.size();
+           i = cursor.fetch_add(1)) {
+        EnumerateCandidatesFor(slots[i], &found[i], &kernel);
+      }
+    });
+  }
+  pool->Wait();
+  for (size_t i = 0; i < slots.size(); ++i) {
+    KillOwnedCandidates(slots[i]);
+    for (const auto& nodes : found[i]) RegisterCandidate(nodes, slots[i]);
+  }
+  MaybeCompactNodeCands();
 }
 
 size_t SolutionState::KillCandidatesWithEdge(NodeId u, NodeId v) {

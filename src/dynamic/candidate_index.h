@@ -31,6 +31,7 @@
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace dkc {
 
@@ -111,16 +112,11 @@ class SolutionState {
   RebuildOutcome RebuildCandidatesFor(uint32_t slot, NodeId u, NodeId v,
                                       UpdateWork* meter = nullptr);
 
-  /// Rebuild several slots (each alive, no duplicates) in `slots` order,
-  /// charging `meter` as RebuildCandidatesFor does. Fills `counts` (when
-  /// non-null) with the per-slot candidate counts.
-  void RebuildCandidatesForMany(std::span<const uint32_t> slots,
-                                std::vector<size_t>* counts,
-                                UpdateWork* meter = nullptr);
-
   /// Algorithm 5 for the whole solution (never budgeted: the initial index
-  /// build must be complete).
-  void RebuildAllCandidates();
+  /// build must be complete). With `pool`, the per-slot enumerations run
+  /// across its workers and registration stays serial in slot order, so
+  /// the index is byte-identical to the serial build.
+  void RebuildAllCandidates(ThreadPool* pool = nullptr);
 
   /// Kill every candidate whose clique uses edge (u, v) — edge-deletion
   /// maintenance. Returns how many died.

@@ -36,7 +36,7 @@ std::pair<std::unique_ptr<SolutionState>, double> SeedState(
   for (CliqueId c = 0; c < solution.size(); ++c) {
     state->AddSolutionClique(solution.Get(c));
   }
-  state->RebuildAllCandidates();  // Algorithm 5
+  state->RebuildAllCandidates(options.pool);  // Algorithm 5
   return {std::move(state), timer.ElapsedMillis()};
 }
 
@@ -190,10 +190,10 @@ void DynamicSolver::EnqueueOwnersOfNewCandidates(NodeId u, NodeId v,
   const std::vector<uint32_t> owners = CollectOwnersOfNewCandidates(u, v);
   // The rebuilds register the new edge's candidates as a side effect and
   // charge `meter` themselves (possibly truncated by its cap).
-  std::vector<size_t> counts;
-  state_->RebuildCandidatesForMany(owners, &counts, meter);
-  for (size_t i = 0; i < owners.size(); ++i) {
-    if (counts[i] > 0) queue->push_back(state_->RefOf(owners[i]));
+  for (const uint32_t owner : owners) {
+    if (state_->RebuildCandidatesFor(owner, meter) > 0) {
+      queue->push_back(state_->RefOf(owner));
+    }
   }
 }
 
@@ -518,21 +518,14 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
   }
 
   // --- boundary: one deduped rebuild pass, one swap loop --------------
-  std::vector<uint32_t> slots;
-  std::vector<const DirtySet::Mark*> marks;
-  dirty.ForEachActive([&](uint32_t slot, const DirtySet::Mark& mark) {
-    slots.push_back(slot);
-    marks.push_back(&mark);
-  });
-  std::vector<size_t> counts;
-  state_->RebuildCandidatesForMany(slots, &counts, &meter);
-
   SwapQueue queue;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const DirtySet::Mark& mark = *marks[i];
-    bool enqueue = mark.want_any && counts[i] > 0;
-    if (!enqueue && counts[i] > 0 && !mark.probes.empty()) {
-      for (const auto& cand : state_->CandidatesOf(slots[i])) {
+  size_t dirty_slots = 0;
+  dirty.ForEachActive([&](uint32_t slot, const DirtySet::Mark& mark) {
+    ++dirty_slots;
+    const size_t count = state_->RebuildCandidatesFor(slot, &meter);
+    bool enqueue = mark.want_any && count > 0;
+    if (!enqueue && count > 0 && !mark.probes.empty()) {
+      for (const auto& cand : state_->CandidatesOf(slot)) {
         for (const auto& [pu, pv] : mark.probes) {
           const auto& nodes = cand.nodes;
           if (std::find(nodes.begin(), nodes.end(), pu) != nodes.end() &&
@@ -544,13 +537,13 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
         if (enqueue) break;
       }
     }
-    if (enqueue) queue.push_back(state_->RefOf(slots[i]));
-  }
+    if (enqueue) queue.push_back(state_->RefOf(slot));
+  });
   const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter);
 
   // --- finalize: stats, counters, publish ------------------------------
   last_batch_.updates = ops.size();
-  last_batch_.dirty_slots = slots.size();
+  last_batch_.dirty_slots = dirty_slots;
   last_batch_.work = meter.work;
   last_batch_.rebuild_cuts = meter.rebuild_cuts;
   last_batch_.swaps = swaps;
@@ -558,7 +551,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
   ++epoch_;
   ++batches_applied_;
   batched_updates_ += ops.size();
-  batch_dirty_rebuilds_ += slots.size();
+  batch_dirty_rebuilds_ += dirty_slots;
   FinishUpdate(meter, swaps);  // the epoch aggregate, one epoch = one entry
   PublishView();
   return Status::OK();

@@ -38,10 +38,11 @@ struct DynamicOptions {
   /// through last_update_stats(). With a pure work cap the abort outcome
   /// is byte-identical at every thread count. Zero fields = unlimited.
   Budget update_budget;
-  /// Worker pool for the initial static solve and node scoring only. The
-  /// candidate-index build and every update run serially: per-update
-  /// rebuilds are microsecond-scale, too small to repay a pool round trip.
-  /// Solutions and abort outcomes are byte-identical at any thread count.
+  /// Worker pool for the initial build only: the static solve, node
+  /// scoring and the candidate-index build (Algorithm 5). Every update runs
+  /// serially: per-update rebuilds are microsecond-scale, too small to
+  /// repay a pool round trip. Solutions and abort outcomes are
+  /// byte-identical at any thread count.
   ThreadPool* pool = nullptr;
 };
 
@@ -143,9 +144,9 @@ class DynamicSolver {
   /// mutation, candidate kills through deleted edges, broken-clique
   /// repair, direct adds of brand-new all-free cliques), while candidate
   /// rebuilds are only *marked*; at the epoch boundary each dirty slot is
-  /// rebuilt exactly once via a single RebuildCandidatesForMany call —
-  /// the dedup win on bursty streams — followed by one swap loop and an
-  /// atomic SolutionView publish.
+  /// rebuilt exactly once, in first-mark order — the dedup win on bursty
+  /// streams — followed by one swap loop and an atomic SolutionView
+  /// publish.
   ///
   /// Determinism contract: batch boundaries are part of the stream. The
   /// epoch shares one UpdateWork meter whose deterministic cap scales to

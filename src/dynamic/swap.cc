@@ -74,12 +74,10 @@ void CommitReplacement(SolutionState* state, uint32_t slot,
 
   // The rebuilds charge the meter themselves (one unit each plus one per
   // DFS branch entered) and may be truncated by its deterministic cap —
-  // see RebuildCandidatesForMany.
-  std::vector<size_t> counts;
-  state->RebuildCandidatesForMany(to_rebuild, &counts, budget);
-  for (size_t i = 0; i < to_rebuild.size(); ++i) {
-    if (queue != nullptr && counts[i] > 0) {
-      queue->push_back(state->RefOf(to_rebuild[i]));
+  // see RebuildCandidatesFor.
+  for (const uint32_t s : to_rebuild) {
+    if (state->RebuildCandidatesFor(s, budget) > 0 && queue != nullptr) {
+      queue->push_back(state->RefOf(s));
     }
   }
 }

@@ -2,11 +2,10 @@
 //
 // The paper parallelizes two phases (Algorithm 3 HeapInit and Algorithm 5
 // candidate-index construction) with "for each ... in parallel". Here the
-// pool feeds HeapInit, the clique scoring/counting and listing passes,
-// OPT's clique-graph dedup and per-component MIS, and the (k-1)-core peel;
-// Algorithm 5 runs serially, because its pooled build did not beat the
-// serial one on 4 cores. A chunked dynamic-scheduling ParallelFor is all
-// those loops need; no futures or task graphs.
+// pool feeds both, plus the clique scoring/counting and listing passes,
+// OPT's clique-graph dedup and per-component MIS, and the (k-1)-core peel.
+// Submit/Wait and a chunked dynamic-scheduling ParallelFor are all those
+// loops need; no futures or task graphs.
 
 #ifndef DKC_UTIL_THREAD_POOL_H_
 #define DKC_UTIL_THREAD_POOL_H_

@@ -140,6 +140,39 @@ TEST(SolutionStateTest, EnsureNodeCapacityGrows) {
   EXPECT_TRUE(state.CheckInvariants(&error)) << error;
 }
 
+TEST(SolutionStateTest, PooledIndexBuildMatchesSerialExactly) {
+  // The pooled build enumerates slots on the workers and registers them
+  // serially in slot order: same candidates, same registration order.
+  Graph g = testing::RandomGraph(200, 0.07, /*seed=*/220);
+  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
+  SolutionState pooled(DynamicGraph(g), 3, ScoresFor(g, 3));
+  std::vector<uint8_t> used(g.num_nodes(), 0);
+  std::vector<uint32_t> slots;
+  for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
+    if (used[tri[0]] || used[tri[1]] || used[tri[2]]) continue;
+    for (NodeId u : tri) used[u] = 1;
+    slots.push_back(serial.AddSolutionClique(tri));
+    pooled.AddSolutionClique(tri);
+  }
+  ASSERT_GE(slots.size(), 8u);
+  serial.RebuildAllCandidates();
+  ThreadPool pool(4);
+  pooled.RebuildAllCandidates(&pool);
+  EXPECT_EQ(serial.num_alive_candidates(), pooled.num_alive_candidates());
+  for (uint32_t s : slots) {
+    const auto a = serial.CandidatesOf(s);
+    const auto b = pooled.CandidatesOf(s);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].nodes, b[i].nodes);  // registration order
+      EXPECT_EQ(a[i].score, b[i].score);
+    }
+  }
+  std::string error;
+  EXPECT_TRUE(pooled.CheckInvariants(&error)) << error;
+  EXPECT_TRUE(pooled.CheckCandidateCompleteness(&error)) << error;
+}
+
 TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
   // Satellite 3: the rebuild answers "did (u,v) create a candidate here?"
   // during registration, replacing InsertEdge's CandidatesOf re-scan.
@@ -191,8 +224,9 @@ TEST(SolutionStateTest, MeteredRebuildCutsLeaveValidButIncompleteIndex) {
 }
 
 TEST(SolutionStateTest, BudgetedRebuildManyTruncatesInSlotOrderAtEveryCap) {
-  // A metered multi-slot rebuild charges the slots in `slots` order, each
-  // one unit plus one per DFS branch entered. For any cap — including caps
+  // Per-slot rebuilds sharing one meter, as an update's rebuild loop runs
+  // them, charge the slots in order, each one unit plus one per DFS
+  // branch entered. For any cap — including caps
   // that truncate mid-slot — every slot that fits registers its complete
   // candidate set, the first slot that does not is cut at a branch
   // boundary (a registration-order prefix of its set), and every later
@@ -225,8 +259,9 @@ TEST(SolutionStateTest, BudgetedRebuildManyTruncatesInSlotOrderAtEveryCap) {
     UpdateWork meter;
     meter.max_work = cap;
     std::vector<size_t> counts;
-    state.RebuildCandidatesForMany(slots, &counts, &meter);
-    ASSERT_EQ(counts.size(), slots.size());
+    for (uint32_t s : slots) {
+      counts.push_back(state.RebuildCandidatesFor(s, &meter));
+    }
     uint64_t expected_work = 0;
     uint64_t expected_cuts = 0;
     for (size_t i = 0; i < slots.size(); ++i) {

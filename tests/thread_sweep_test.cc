@@ -176,7 +176,7 @@ TEST(ThreadSweepTest, OptOutcomesAreByteIdenticalAcrossThreadCounts) {
 // Dynamic engine sweep: the same 10 random update streams the differential
 // harness fuzzes, replayed serially and across 1/2/4-thread pools, with and
 // without a per-update work budget. The pool feeds only the initial build
-// (static solve and node scoring); the updates themselves run serially,
+// (static solve, node scoring, index build); the updates run serially,
 // and the budget's max_branch_nodes cap is deterministic by design. So at
 // every thread count the maintained solution must be byte-identical after
 // every update batch, and the per-update abort outcomes must match the

@@ -42,8 +42,8 @@
 // Watts-Strogatz graph instead of --file (handy without datasets), and
 // --threads=n to run the pool-parallel passes (stats counting, the solve
 // methods' scoring, listing and MIS passes, and the dynamic engine's
-// initial solve and scoring) across n worker threads; HG's sweep and the
-// per-update maintenance stay serial. Solutions are byte-identical at any
+// initial solve, scoring and index build) across n worker threads; HG's
+// sweep and the per-update maintenance stay serial. Solutions are byte-identical at any
 // thread count.
 
 #include <algorithm>
