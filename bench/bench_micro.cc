@@ -196,11 +196,11 @@ void BM_LightweightSolveThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_LightweightSolveThreads)->Args({6, 2})->Args({6, 4});
 
-// The preprocessing pipeline itself (degeneracy order + (k-1)-core peel +
-// compaction). Args are {k, sparse}: sparse == 1 runs the prunable
-// sparse-social instance (the win case), sparse == 0 the dense WS graph
-// (the overhead case — nothing peels, so the cost is the degeneracy order
-// the solver would compute anyway, plus one graph copy).
+// The preprocessing pipeline itself (degeneracy order, whose prefix is the
+// (k-1)-core, + compaction). Args are {k, sparse}: sparse == 1 runs the
+// prunable sparse-social instance (the win case), sparse == 0 the dense WS
+// graph (the overhead case — nothing peels, so the cost is the degeneracy
+// order the solver would compute anyway).
 void BM_Preprocess(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   dkc::Graph g = state.range(1) != 0 ? MakeSparseSocial(k) : MakeWs(2000, 16);
@@ -208,15 +208,15 @@ void BM_Preprocess(benchmark::State& state) {
   options.k = k;
   for (auto _ : state) {
     auto result = dkc::PreprocessForKCliques(g, options);
-    benchmark::DoNotOptimize(result.pruned.num_nodes());
+    benchmark::DoNotOptimize(result.stats.nodes_after);
   }
 }
 BENCHMARK(BM_Preprocess)->Args({4, 0})->Args({6, 0})->Args({4, 1})->Args({6, 1});
 
 // End-to-end LP solve through the Solve() facade on the sparse-social
 // instance; args are {k, preprocess}. The preprocessed run includes the
-// whole pipeline and produces the byte-identical solution (default
-// order-preserving mode) — the shrink is what pays.
+// whole pipeline and produces the byte-identical solution — the shrink is
+// what pays.
 void BM_LightweightSolvePrepruned(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   dkc::Graph g = MakeSparseSocial(k);
@@ -236,20 +236,20 @@ BENCHMARK(BM_LightweightSolvePrepruned)
     ->Args({4, 1});
 
 // End-to-end k-clique counting on the sparse-social instance; args are
-// {k, preprocess}. Counts are a pure function of the graph (no ordering
-// dependence), so the preprocessed run uses reorder mode and skips the
-// full-graph degeneracy pass the order-preserving mode would need.
+// {k, preprocess}. Both sides compute the input's degeneracy order once;
+// the preprocessed run then builds its DAG over the (k-1)-core only, with
+// that order's prefix, and counts the same cliques.
 void BM_CountKCliquesPrepruned(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   dkc::Graph g = MakeSparseSocial(k);
   const bool preprocess = state.range(1) != 0;
   dkc::PreprocessOptions options;
   options.k = k;
-  options.reorder = true;
   for (auto _ : state) {
     if (preprocess) {
       auto pre = dkc::PreprocessForKCliques(g, options);
-      dkc::Dag dag(pre.pruned, std::move(pre.orientation));
+      const dkc::Graph& kept = pre.stats.peeled_nodes == 0 ? g : pre.pruned;
+      dkc::Dag dag(kept, std::move(pre.orientation));
       benchmark::DoNotOptimize(dkc::CountKCliques(dag, k));
     } else {
       dkc::Dag dag(g, dkc::DegeneracyOrdering(g));

@@ -89,14 +89,12 @@ StatusOr<SolveResult> Solve(const Graph& g, const SolverOptions& options) {
   }
   PreprocessOptions preprocess_options;
   preprocess_options.k = options.k;
-  preprocess_options.reorder = options.preprocess_reorder;
-  preprocess_options.pool = options.pool;
   const PreprocessResult pre = PreprocessForKCliques(g, preprocess_options);
 
-  if (pre.stats.nodes_removed() == 0 && pre.stats.edges_removed() == 0) {
+  if (pre.stats.peeled_nodes == 0) {
     // Nothing pruned: solve the input directly (pre.orientation is exactly
-    // the order the solver would compute, so hand it over) and skip the
-    // identity remap.
+    // the order the solver would compute, so hand it over); there is no
+    // remap to undo.
     auto solved = Dispatch(g, options, &pre.orientation);
     if (!solved.ok()) return solved.status();
     solved->stats.init_ms += pre.stats.elapsed_ms;

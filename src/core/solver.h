@@ -30,9 +30,9 @@ struct SolverOptions {
   int k = 3;
   Method method = Method::kLP;
   Budget budget;
-  /// Feeds the preprocessing peel, L/LP scoring + heap init, GC/OPT clique
-  /// enumeration, OPT's clique-graph dedup and per-component exact-MIS
-  /// solves. HG's first-hit sweep runs serially: each root's search
+  /// Feeds L/LP scoring + heap init, GC/OPT clique enumeration, OPT's
+  /// clique-graph dedup and per-component exact-MIS solves. Preprocessing
+  /// runs serially, and so does HG's first-hit sweep: each root's search
   /// depends on every earlier acceptance. Solutions are byte-identical at
   /// any thread count (each parallel pass ends in a deterministic ordered
   /// reduction or an order-insensitive one).
@@ -45,11 +45,6 @@ struct SolverOptions {
   /// differential harness asserts it. Accounting lands in
   /// SolveResult::preprocess.
   bool preprocess = true;
-  /// With `preprocess`: recompute the degeneracy order on the pruned graph
-  /// instead (denser kernels on heavily shrunk inputs). Solutions stay
-  /// valid maximal disjoint k-clique sets but the byte-identity promise is
-  /// waived.
-  bool preprocess_reorder = false;
 };
 
 /// Compute a disjoint k-clique set of `g` with the selected method.

@@ -209,7 +209,8 @@ class SolutionState {
   // Drops dead refs from every per-node list once they outnumber
   // 2 * alive refs + n + 64 — each compaction removes more entries than it
   // keeps stale, so list walking stays amortized O(1) per registered ref
-  // while alive refs are never reordered (observable behavior unchanged).
+  // while alive refs keep their relative order (observable behavior
+  // unchanged).
   // Called at the end of the public mutators (never mid-iteration).
   void MaybeCompactNodeCands();
   // Enumerates valid candidates for `slot` into `out` without mutating the

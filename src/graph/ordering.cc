@@ -14,9 +14,13 @@ Ordering FromNodeSequence(std::vector<NodeId> nodes) {
   return o;
 }
 
-// Matula–Beck bucket peeling. Returns the peel sequence and reports the
-// degeneracy through `degeneracy_out` when non-null.
-std::vector<NodeId> PeelSequence(const Graph& g, Count* degeneracy_out) {
+// Matula–Beck bucket peeling. Returns the peel sequence. A neighbor is
+// never decremented below the removed node's bucket, so each node leaves at
+// its core number, and those never fall along the sequence. `core_start`,
+// when non-null, receives the first position whose core number is >= `core`
+// (n if none): the `core`-core is the suffix from there.
+std::vector<NodeId> PeelSequence(const Graph& g, Count core,
+                                 NodeId* core_start) {
   const NodeId n = g.num_nodes();
   std::vector<Count> deg(n);
   Count max_deg = 0;
@@ -46,11 +50,11 @@ std::vector<NodeId> PeelSequence(const Graph& g, Count* degeneracy_out) {
   std::vector<bool> removed(n, false);
   std::vector<NodeId> seq;
   seq.reserve(n);
-  Count degeneracy = 0;
+  NodeId first_in_core = n;
   for (NodeId i = 0; i < n; ++i) {
     const NodeId u = order[i];
     removed[u] = true;
-    degeneracy = std::max(degeneracy, deg[u]);
+    if (first_in_core == n && deg[u] >= core) first_in_core = i;
     seq.push_back(u);
     for (NodeId v : g.Neighbors(u)) {
       if (removed[v] || deg[v] <= deg[u]) continue;
@@ -66,7 +70,7 @@ std::vector<NodeId> PeelSequence(const Graph& g, Count* degeneracy_out) {
       --deg[v];
     }
   }
-  if (degeneracy_out != nullptr) *degeneracy_out = degeneracy;
+  if (core_start != nullptr) *core_start = first_in_core;
   return seq;
 }
 
@@ -84,20 +88,16 @@ Ordering DegreeOrdering(const Graph& g) {
   return OrderByKeyAscending(key);
 }
 
-Ordering DegeneracyOrdering(const Graph& g) {
+Ordering DegeneracyOrdering(const Graph& g, Count core, NodeId* core_size) {
   // Reverse of the peel sequence: a node's lower-ranked neighbors are the
   // ones peeled *after* it, and there are at most `degeneracy` of those.
   // Dag orients edges toward lower rank, so this caps DAG out-degrees by
   // the degeneracy — the property kClist's complexity bound needs.
-  std::vector<NodeId> seq = PeelSequence(g, nullptr);
+  NodeId core_start = 0;
+  std::vector<NodeId> seq = PeelSequence(g, core, &core_start);
+  if (core_size != nullptr) *core_size = g.num_nodes() - core_start;
   std::reverse(seq.begin(), seq.end());
   return FromNodeSequence(std::move(seq));
-}
-
-Count Degeneracy(const Graph& g) {
-  Count d = 0;
-  if (g.num_nodes() > 0) PeelSequence(g, &d);
-  return d;
 }
 
 Ordering OrderByKeyAscending(const std::vector<Count>& key) {

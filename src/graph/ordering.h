@@ -37,12 +37,14 @@ Ordering DegreeOrdering(const Graph& g);
 /// repeatedly remove a minimum-degree node. Linear time. This is the
 /// standard kClist orientation [13]: the DAG out-degree is bounded by the
 /// graph's degeneracy, which is what makes k-clique listing tractable on
-/// social networks.
-Ordering DegeneracyOrdering(const Graph& g);
-
-/// Degeneracy of the graph (max min-degree over the peeling sequence).
-/// Computed alongside DegeneracyOrdering; exposed for stats/tests.
-Count Degeneracy(const Graph& g);
+/// social networks (Dag::MaxOutDegree() under this order IS the degeneracy).
+///
+/// The order is the reversed peel sequence, and core numbers never rise
+/// along it, so every c-core is a prefix. When `core_size` is non-null it
+/// receives the size of the `core`-core: the nodes nodes[0, *core_size)
+/// are exactly those with core number >= `core`.
+Ordering DegeneracyOrdering(const Graph& g, Count core = 0,
+                            NodeId* core_size = nullptr);
 
 /// Ordering by an arbitrary per-node key, ascending; ties broken by node id.
 /// Algorithm 3 uses this with key = node score s_n.

@@ -18,16 +18,20 @@
 // is ever removed. The pruned graph contains *exactly* the k-cliques of the
 // input.
 //
-// Determinism: in the default mode the pruned graph is meant to be oriented
-// by the ORIGINAL graph's degeneracy order restricted to the survivors
-// (`orientation` below). Because the id remap is ascending and every
-// k-clique survives with all its edges, each solver's DFS sees the same
-// surviving branches in the same relative order as on the unpruned graph —
-// removed nodes only ever contributed dead branches — so solutions are
-// byte-identical with preprocessing on or off (the differential harness
-// asserts exactly this for all five methods). The opt-in `reorder` mode
-// recomputes the degeneracy order on the pruned graph instead: denser
-// kernels, still-valid solutions, but no byte-identity promise.
+// One pass: the (k-1)-core is a prefix of the degeneracy order
+// (DegeneracyOrdering reports its length), so the order the solvers need
+// anyway also decides the peel. The cost is that ordering plus compaction
+// of the survivors; when nothing is peeled there is no compaction and no
+// id map at all.
+//
+// Determinism: the pruned graph is oriented by the ORIGINAL graph's
+// degeneracy order restricted to the survivors (`orientation` below) —
+// the order's prefix under the remap. Because the id remap is ascending and
+// every k-clique survives with all its edges, each solver's DFS sees the
+// same surviving branches in the same relative order as on the unpruned
+// graph — removed nodes only ever contributed dead branches — so solutions
+// are byte-identical with preprocessing on or off (the differential harness
+// asserts exactly this for all five methods).
 
 #ifndef DKC_GRAPH_PREPROCESS_H_
 #define DKC_GRAPH_PREPROCESS_H_
@@ -43,19 +47,10 @@ class ThreadPool;
 
 struct PreprocessOptions {
   int k = 3;
-  /// false: orientation = original degeneracy order restricted to survivors
-  /// (solver results byte-identical to no preprocessing). true: recompute
-  /// the degeneracy order on the pruned graph.
-  bool reorder = false;
-  /// When given, the (k-1)-core peel runs as per-range peels followed
-  /// by a global cascade to the fixpoint. The peel is a confluent chaotic
-  /// iteration, so the surviving set — and with it every downstream
-  /// artifact and statistic — is identical to the serial cascade at any
-  /// thread count.
+  /// Ignored: preprocessing is the serial degeneracy peel. Kept only
+  /// because the end-to-end benchmark still sets it; it goes away with the
+  /// next change to the benchmark.
   ThreadPool* pool = nullptr;
-  /// Smallest graph (node count) worth fanning the peel out for; below it
-  /// the serial cascade wins. Tests set 0 to force the parallel path.
-  NodeId parallel_peel_min_nodes = 4096;
 };
 
 /// Per-phase accounting, surfaced through SolveResult and the dkc CLI.
@@ -73,7 +68,6 @@ struct PreprocessStats {
   /// change to the benchmark.
   Count unsupported_edges = 0;
   double elapsed_ms = 0.0;
-  bool reordered = false;
 
   NodeId nodes_removed() const { return nodes_before - nodes_after; }
   Count edges_removed() const { return edges_before - edges_after; }
@@ -82,19 +76,21 @@ struct PreprocessStats {
 struct PreprocessResult {
   /// Compact CSR over the surviving nodes, ids remapped ascending (the
   /// remap is monotone: u < v in original ids iff their pruned ids are
-  /// ordered the same way).
+  /// ordered the same way). Empty, like both maps, when nothing was peeled
+  /// (stats.peeled_nodes == 0): the input itself is the pruned graph.
   Graph pruned;
   /// pruned id -> original id, ascending.
   std::vector<NodeId> new_to_old;
   /// original id -> pruned id, kInvalidNode for removed nodes.
   std::vector<NodeId> old_to_new;
-  /// The total order to orient `pruned` with (see header comment).
+  /// The total order to orient the pruned graph with (see header comment);
+  /// when nothing was peeled, DegeneracyOrdering of the input.
   Ordering orientation;
   PreprocessStats stats;
 };
 
 /// Runs the (k-1)-core peel for k-clique workloads (k >= 3; smaller k
-/// passes the graph through unchanged).
+/// peels nothing).
 PreprocessResult PreprocessForKCliques(const Graph& g,
                                        const PreprocessOptions& options);
 

@@ -2,8 +2,8 @@
 //
 // The paper parallelizes two phases (Algorithm 3 HeapInit and Algorithm 5
 // candidate-index construction) with "for each ... in parallel". Here the
-// pool feeds both, plus the clique scoring/counting and listing passes,
-// OPT's clique-graph dedup and per-component MIS, and the (k-1)-core peel.
+// pool feeds both, plus the clique scoring/counting and listing passes and
+// OPT's clique-graph dedup and per-component MIS.
 // Submit/Wait and a chunked dynamic-scheduling ParallelFor are all those
 // loops need; no futures or task graphs.
 

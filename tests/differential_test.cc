@@ -152,9 +152,9 @@ TEST(DifferentialTest, HeuristicsVsExactOnSmallInstances) {
   }
 }
 
-// The preprocessing pipeline's central promise: in the default
-// order-preserving mode, running any method on the (k-1)-core of the
-// input produces the byte-identical solution —
+// The preprocessing pipeline's central promise: running any method on the
+// (k-1)-core of the input, oriented by the input's degeneracy order
+// restricted to it, produces the byte-identical solution —
 // same cliques, same order, same node order within each clique — as
 // running it on the raw input. Every static instance, all five methods;
 // OPT runs under the deterministic branch budget so the genuinely hard
@@ -194,36 +194,6 @@ TEST(DifferentialTest, PreprocessingPreservesSolutionsByteForByte) {
   // The sweep must include instances where pruning actually bites, or the
   // byte-identity claim is only ever tested on no-op remaps.
   EXPECT_GE(nontrivially_pruned, 10);
-}
-
-// The opt-in reorder mode waives byte-identity (the pruned graph gets its
-// own degeneracy order) but must still produce valid maximal disjoint
-// k-clique sets, mutually within the Theorem-3 k-approximation band of the
-// preprocess-off run.
-TEST(DifferentialTest, ReorderModeStaysValidAndComparable) {
-  for (int case_index = 0; case_index < 24; ++case_index) {
-    SCOPED_TRACE("case_index=" + std::to_string(case_index));
-    const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7000);
-    const int k = 3 + case_index % 3;
-    for (Method method : kHeuristics) {
-      SCOPED_TRACE(MethodName(method));
-      SolverOptions options;
-      options.k = k;
-      options.method = method;
-      options.preprocess = false;
-      auto plain = Solve(g, options);
-      options.preprocess = true;
-      options.preprocess_reorder = true;
-      auto reordered = Solve(g, options);
-      ASSERT_TRUE(plain.ok() && reordered.ok());
-      EXPECT_TRUE(reordered->preprocess.reordered);
-      EXPECT_EQ(testing::OracleCheckDisjointCliques(g, reordered->set), "");
-      EXPECT_TRUE(testing::OracleCheckMaximal(g, reordered->set));
-      EXPECT_TRUE(VerifySolution(g, reordered->set).ok());
-      EXPECT_LE(plain->size(), static_cast<NodeId>(k) * reordered->size());
-      EXPECT_LE(reordered->size(), static_cast<NodeId>(k) * plain->size());
-    }
-  }
 }
 
 // Fuzzes the Section-V dynamic engine: random insert/delete streams, with

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "gen/named_graphs.h"
+#include "graph/dag.h"
 #include "test_util.h"
 
 namespace dkc {
@@ -20,6 +24,12 @@ void ExpectValidPermutation(const Ordering& o, NodeId n) {
     seen[o.nodes[i]] = true;
     EXPECT_EQ(o.rank[o.nodes[i]], i) << "rank and nodes disagree";
   }
+}
+
+// The degeneracy, read the way `dkc stats` reads it: the max out-degree of
+// the DAG oriented by the degeneracy order.
+Count OrientedMaxOutDegree(const Graph& g) {
+  return Dag(g, DegeneracyOrdering(g)).MaxOutDegree();
 }
 
 TEST(OrderingTest, IdentityIsIdentity) {
@@ -59,36 +69,59 @@ TEST(OrderingTest, DegeneracyOfCompleteGraphIsNMinus1) {
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) b.AddEdge(u, v);
   }
-  EXPECT_EQ(Degeneracy(b.Build()), n - 1);
+  EXPECT_EQ(OrientedMaxOutDegree(b.Build()), n - 1);
 }
 
 TEST(OrderingTest, DegeneracyOfTreeIsOne) {
   GraphBuilder b;
   for (NodeId v = 1; v < 20; ++v) b.AddEdge(v, v / 2);
-  EXPECT_EQ(Degeneracy(b.Build()), 1u);
+  EXPECT_EQ(OrientedMaxOutDegree(b.Build()), 1u);
 }
 
 TEST(OrderingTest, DegeneracyOfEmptyGraphIsZero) {
   Graph g;
-  EXPECT_EQ(Degeneracy(g), 0u);
+  EXPECT_EQ(OrientedMaxOutDegree(g), 0u);
 }
 
 TEST(OrderingTest, DegeneracyOfKarateClub) {
   // Known value for Zachary's karate club.
-  EXPECT_EQ(Degeneracy(KarateClub()), 4u);
+  EXPECT_EQ(OrientedMaxOutDegree(KarateClub()), 4u);
 }
 
-// Degeneracy must match the naive peel on random graphs of various shapes.
-class DegeneracySweep : public ::testing::TestWithParam<uint64_t> {};
+// Random graphs of various shapes, checked against the naive peel.
+class DegeneracySweep : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  Graph MakeGraph() const {
+    const uint64_t seed = GetParam();
+    Rng rng(seed);
+    const NodeId n = 20 + static_cast<NodeId>(rng.NextBounded(40));
+    const double p = 0.05 + rng.NextDouble() * 0.3;
+    return testing::RandomGraph(n, p, seed * 977 + 1);
+  }
+};
 
 TEST_P(DegeneracySweep, MatchesBruteForce) {
-  const uint64_t seed = GetParam();
-  Rng rng(seed);
-  const NodeId n = 20 + static_cast<NodeId>(rng.NextBounded(40));
-  const double p = 0.05 + rng.NextDouble() * 0.3;
-  Graph g = testing::RandomGraph(n, p, seed * 977 + 1);
-  EXPECT_EQ(Degeneracy(g), testing::BruteForceDegeneracy(g))
-      << "n=" << n << " p=" << p << " seed=" << seed;
+  const Graph g = MakeGraph();
+  EXPECT_EQ(OrientedMaxOutDegree(g), testing::BruteForceDegeneracy(g))
+      << "n=" << g.num_nodes() << " seed=" << GetParam();
+}
+
+// Every c-core is the prefix of the degeneracy order whose length the
+// ordering reports, from the 0-core (everything) past the degeneracy (empty).
+TEST_P(DegeneracySweep, CoreIsTheReportedPrefix) {
+  const Graph g = MakeGraph();
+  const Count degeneracy = testing::BruteForceDegeneracy(g);
+  for (Count c = 0; c <= degeneracy + 1; ++c) {
+    SCOPED_TRACE("c=" + std::to_string(c));
+    NodeId core_size = kInvalidNode;
+    const Ordering o = DegeneracyOrdering(g, c, &core_size);
+    ASSERT_LE(core_size, g.num_nodes());
+    std::vector<NodeId> prefix(o.nodes.begin(), o.nodes.begin() + core_size);
+    std::sort(prefix.begin(), prefix.end());
+    EXPECT_EQ(prefix, testing::BruteForceCore(g, c));
+    // The threshold only reports: the order itself never changes.
+    EXPECT_EQ(o.nodes, DegeneracyOrdering(g).nodes);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DegeneracySweep,
@@ -98,7 +131,7 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, DegeneracySweep,
 // most `degeneracy` neighbors of *lower* rank (those peeled after it).
 TEST(OrderingTest, DegeneracyOrderingHasBoundedBackwardDegree) {
   Graph g = testing::RandomGraph(60, 0.2, /*seed=*/12);
-  const Count d = Degeneracy(g);
+  const Count d = testing::BruteForceDegeneracy(g);
   Ordering o = DegeneracyOrdering(g);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     Count backward = 0;

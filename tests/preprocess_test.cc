@@ -1,7 +1,8 @@
 // Unit tests for the graph-shrinking preprocessing pipeline: (k-1)-core
 // peel behaviour on structured graphs (windmill, tripartite, star, WS),
-// the "everything pruned" / "nothing pruned" edges, remap invariants, and
-// the order-preserving orientation contract.
+// the "everything pruned" / "nothing pruned" edges, remap invariants, the
+// order-preserving orientation contract, and the survivors against a naive
+// (k-1)-core cascade.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include "graph/preprocess.h"
 #include "test_util.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace dkc {
 namespace {
@@ -52,18 +52,37 @@ Graph Star(NodeId leaves) {
   return b.Build();
 }
 
-// Shared sanity pack: stats add up, the maps invert each other, the remap
-// is monotone (order-preserving), and the orientation is a permutation of
-// the pruned graph's nodes.
+// The nothing-peeled contract: no CSR and no id maps — the input itself is
+// the pruned graph — and the input's own degeneracy order as orientation.
+void ExpectPassThrough(const Graph& g, const PreprocessResult& result) {
+  EXPECT_EQ(result.stats.peeled_nodes, 0u);
+  EXPECT_EQ(result.stats.nodes_after, g.num_nodes());
+  EXPECT_EQ(result.stats.edges_after, g.num_edges());
+  EXPECT_EQ(result.pruned.num_nodes(), 0u);
+  EXPECT_TRUE(result.new_to_old.empty());
+  EXPECT_TRUE(result.old_to_new.empty());
+  const Ordering expected = DegeneracyOrdering(g);
+  EXPECT_EQ(result.orientation.nodes, expected.nodes);
+  EXPECT_EQ(result.orientation.rank, expected.rank);
+}
+
+// Shared sanity pack: stats add up, and either nothing was peeled (the
+// pass-through contract) or the maps invert each other, the remap is
+// monotone (order-preserving), the pruned graph is the subgraph induced by
+// the survivors, and the orientation is a permutation of its nodes.
 void CheckInvariants(const Graph& g, const PreprocessResult& result) {
   const PreprocessStats& stats = result.stats;
   EXPECT_EQ(stats.nodes_before, g.num_nodes());
   EXPECT_EQ(stats.edges_before, g.num_edges());
-  EXPECT_EQ(stats.nodes_after, result.pruned.num_nodes());
-  EXPECT_EQ(stats.edges_after, result.pruned.num_edges());
   EXPECT_EQ(stats.nodes_removed(), stats.peeled_nodes);
   EXPECT_EQ(stats.edges_removed(), stats.peeled_edges);
   EXPECT_EQ(stats.unsupported_edges, 0u);
+  if (stats.peeled_nodes == 0) {
+    ExpectPassThrough(g, result);
+    return;
+  }
+  EXPECT_EQ(stats.nodes_after, result.pruned.num_nodes());
+  EXPECT_EQ(stats.edges_after, result.pruned.num_edges());
 
   ASSERT_EQ(result.new_to_old.size(), result.pruned.num_nodes());
   ASSERT_EQ(result.old_to_new.size(), g.num_nodes());
@@ -73,6 +92,28 @@ void CheckInvariants(const Graph& g, const PreprocessResult& result) {
       EXPECT_LT(result.new_to_old[pu - 1], result.new_to_old[pu]);
     }
   }
+
+  // Every edge between survivors is kept (remapped, rows sorted), and the
+  // peeled edges are exactly those with a peeled endpoint.
+  Count dying = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const NodeId pu = result.old_to_new[u];
+    std::vector<NodeId> expected_row;
+    for (NodeId v : g.Neighbors(u)) {
+      const NodeId pv = result.old_to_new[v];
+      if (pu != kInvalidNode && pv != kInvalidNode) {
+        expected_row.push_back(pv);
+      } else if (u < v) {
+        ++dying;
+      }
+    }
+    if (pu == kInvalidNode) continue;
+    const auto row = result.pruned.Neighbors(pu);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), expected_row.begin(),
+                           expected_row.end()))
+        << "row of node " << u;
+  }
+  EXPECT_EQ(stats.peeled_edges, dying);
 
   const NodeId pruned_n = result.pruned.num_nodes();
   ASSERT_EQ(result.orientation.nodes.size(), pruned_n);
@@ -87,10 +128,9 @@ void CheckInvariants(const Graph& g, const PreprocessResult& result) {
   }
 }
 
-PreprocessResult RunPipeline(const Graph& g, int k, bool reorder = false) {
+PreprocessResult RunPipeline(const Graph& g, int k) {
   PreprocessOptions options;
   options.k = k;
-  options.reorder = reorder;
   PreprocessResult result = PreprocessForKCliques(g, options);
   CheckInvariants(g, result);
   return result;
@@ -100,9 +140,7 @@ TEST(PreprocessTest, WindmillKeepsEverythingForTriangles) {
   const Graph g = Windmill(5);
   const auto result = RunPipeline(g, 3);
   // Every node has degree >= 2 and sits in a triangle: nothing pruned.
-  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
-  EXPECT_EQ(result.stats.peeled_nodes, 0u);
+  ExpectPassThrough(g, result);
 }
 
 TEST(PreprocessTest, WindmillFullyPrunedForK4) {
@@ -123,15 +161,13 @@ TEST(PreprocessTest, TripartiteIsCliqueFreeButUnprunable) {
   const Graph g = Tripartite(2);
   ASSERT_TRUE(testing::BruteForceKCliques(g, 4).empty());
   const auto result = RunPipeline(g, 4);
-  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
+  ExpectPassThrough(g, result);
 }
 
 TEST(PreprocessTest, TripartiteKeepsTrianglesDropsNothingForK3) {
   const Graph g = Tripartite(3);
   const auto result = RunPipeline(g, 3);
-  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
+  ExpectPassThrough(g, result);
 }
 
 TEST(PreprocessTest, StarIsFullyPeeled) {
@@ -147,8 +183,9 @@ TEST(PreprocessTest, PeelKeepsADegreeThreeNodeOutsideEveryClique) {
   // Two K4s sharing node 6, plus node 7 wired to three clique nodes that
   // span both cliques. Node 7 lies in no 4-clique (its edges have triangle
   // support <= 1), but its degree 3 meets the k-1 threshold, so the peel
-  // keeps it and the graph passes through whole. The solvers discard its
-  // branches themselves: the solution is byte-identical either way.
+  // keeps it and the graph passes through whole, node 7 included. The
+  // solvers discard its branches themselves: the solution is
+  // byte-identical either way.
   GraphBuilder b;
   const NodeId k4a[] = {0, 1, 2, 6};
   const NodeId k4b[] = {3, 4, 5, 6};
@@ -163,10 +200,9 @@ TEST(PreprocessTest, PeelKeepsADegreeThreeNodeOutsideEveryClique) {
   b.AddEdge(7, 3);
   const Graph g = b.Build();
   const auto result = RunPipeline(g, 4);
-  EXPECT_EQ(result.pruned.num_nodes(), 8u);
-  EXPECT_EQ(result.pruned.num_edges(), 15u);
-  EXPECT_EQ(result.stats.peeled_nodes, 0u);
-  EXPECT_EQ(result.old_to_new[7], 7u);
+  EXPECT_EQ(result.stats.nodes_after, 8u);
+  EXPECT_EQ(result.stats.edges_after, 15u);
+  ExpectPassThrough(g, result);
 
   for (Method method : {Method::kHG, Method::kGC, Method::kL, Method::kLP,
                         Method::kOPT}) {
@@ -200,14 +236,14 @@ TEST(PreprocessTest, DenseClusteredGraphKeepsEveryEdge) {
   ASSERT_TRUE(ws.ok()) << ws.status().ToString();
   const Graph& g = *ws;
   const auto result = RunPipeline(g, 5);
-  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
+  ExpectPassThrough(g, result);
   EXPECT_EQ(result.stats.edges_removed(), 0u);
 }
 
 TEST(PreprocessTest, PruningNeverRemovesACliqueNodeOrEdge) {
   // Randomized soundness check: every k-clique of the input must appear,
-  // with all of its edges, in the pruned graph (under the id remap).
+  // with all of its edges, in the pruned graph (under the id remap; the
+  // input itself when nothing was peeled).
   for (int case_index = 0; case_index < 12; ++case_index) {
     SCOPED_TRACE("case_index=" + std::to_string(case_index));
     const Graph g = testing::RandomGraph(28 + case_index, 0.25,
@@ -215,6 +251,7 @@ TEST(PreprocessTest, PruningNeverRemovesACliqueNodeOrEdge) {
     for (int k = 3; k <= 5; ++k) {
       SCOPED_TRACE("k=" + std::to_string(k));
       const auto result = RunPipeline(g, k);
+      if (result.stats.peeled_nodes == 0) continue;
       const auto before = testing::BruteForceKCliques(g, k);
       auto after = testing::BruteForceKCliques(result.pruned, k);
       for (auto& clique : after) {
@@ -241,68 +278,52 @@ TEST(PreprocessTest, DefaultOrientationRestrictsTheOriginalDegeneracyOrder) {
     }
   }
   EXPECT_EQ(result.orientation.nodes, expected);
-  EXPECT_FALSE(result.stats.reordered);
-}
-
-TEST(PreprocessTest, ReorderModeRecomputesDegeneracyOnThePrunedGraph) {
-  const Graph g = testing::RandomGraph(60, 0.15, 9100);
-  const auto result = RunPipeline(g, 4, /*reorder=*/true);
-  EXPECT_TRUE(result.stats.reordered);
-  const Ordering fresh = DegeneracyOrdering(result.pruned);
-  EXPECT_EQ(result.orientation.nodes, fresh.nodes);
-  EXPECT_EQ(result.orientation.rank, fresh.rank);
 }
 
 TEST(PreprocessTest, EmptyGraphAndSmallKPassThrough) {
   const Graph empty;
-  const auto result = RunPipeline(empty, 4);
-  EXPECT_EQ(result.pruned.num_nodes(), 0u);
+  ExpectPassThrough(empty, RunPipeline(empty, 4));
 
   // k < 3: identity pass-through (no prune rules exist).
   const Graph g = Star(4);
-  const auto identity = RunPipeline(g, 2);
-  EXPECT_EQ(identity.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(identity.pruned.num_edges(), g.num_edges());
+  ExpectPassThrough(g, RunPipeline(g, 2));
 }
 
-// The range-parallel peel (per-range peels + buffered cross-range
-// decrements + global cascade) must reach the exact fixpoint of the serial
-// cascade: same pruned CSR, same maps, same orientation, same statistics —
-// the peel is confluent and the accounting is order-independent. Forcing
-// parallel_peel_min_nodes=0 exercises the fan-out even on tiny graphs.
-TEST(PreprocessTest, ParallelPeelMatchesSerialOnEveryInstance) {
+// The survivors are the (k-1)-core, read off as a prefix of the degeneracy
+// order: they must equal a naive cascade's core, and the orientation must
+// be that prefix of the input's order under the remap.
+TEST(PreprocessTest, SurvivorsAreTheCoreOnEveryInstance) {
   constexpr int kInstances = 52;
-  ThreadPool pool2(2), pool4(4);
-  ThreadPool* pools[] = {&pool2, &pool4};
+  int peeled_some = 0;
+  int peeled_none = 0;
   for (int case_index = 0; case_index < kInstances; ++case_index) {
     SCOPED_TRACE("case_index=" + std::to_string(case_index));
     const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7000);
-    const int k = 3 + case_index % 3;
-    PreprocessOptions options;
-    options.k = k;
-    const PreprocessResult serial = PreprocessForKCliques(g, options);
-    CheckInvariants(g, serial);
-    for (ThreadPool* pool : pools) {
-      SCOPED_TRACE("threads=" + std::to_string(pool->num_threads()));
-      options.pool = pool;
-      options.parallel_peel_min_nodes = 0;
-      const PreprocessResult parallel = PreprocessForKCliques(g, options);
-      CheckInvariants(g, parallel);
-      EXPECT_EQ(parallel.new_to_old, serial.new_to_old);
-      EXPECT_EQ(parallel.old_to_new, serial.old_to_new);
-      EXPECT_EQ(parallel.orientation.nodes, serial.orientation.nodes);
-      EXPECT_EQ(parallel.orientation.rank, serial.orientation.rank);
-      ASSERT_EQ(parallel.pruned.num_nodes(), serial.pruned.num_nodes());
-      ASSERT_EQ(parallel.pruned.num_edges(), serial.pruned.num_edges());
-      for (NodeId u = 0; u < serial.pruned.num_nodes(); ++u) {
-        const auto a = serial.pruned.Neighbors(u);
-        const auto b = parallel.pruned.Neighbors(u);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    const Ordering original = DegeneracyOrdering(g);
+    for (int k : {3, 4, 5, 6, 8}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      const PreprocessResult result = RunPipeline(g, k);
+      const std::vector<NodeId> core =
+          testing::BruteForceCore(g, static_cast<Count>(k) - 1);
+      if (result.stats.peeled_nodes == 0) {
+        ++peeled_none;
+        EXPECT_EQ(core.size(), g.num_nodes());
+        continue;
       }
-      EXPECT_EQ(parallel.stats.peeled_nodes, serial.stats.peeled_nodes);
-      EXPECT_EQ(parallel.stats.peeled_edges, serial.stats.peeled_edges);
+      ++peeled_some;
+      EXPECT_EQ(result.new_to_old, core);
+      const NodeId keep = result.stats.nodes_after;
+      ASSERT_EQ(result.orientation.nodes.size(), keep);
+      for (NodeId i = 0; i < keep; ++i) {
+        EXPECT_EQ(result.orientation.nodes[i],
+                  result.old_to_new[original.nodes[i]])
+            << "position " << i;
+      }
     }
   }
+  // Both branches must be exercised, or half the contract goes unchecked.
+  EXPECT_GE(peeled_some, 20);
+  EXPECT_GE(peeled_none, 20);
 }
 
 }  // namespace

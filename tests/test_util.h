@@ -109,6 +109,31 @@ inline Count BruteForceDegeneracy(const Graph& g) {
   return degeneracy;
 }
 
+/// The c-core by a naive cascade: drop every node with fewer than `c`
+/// remaining neighbors, rescanning until none is left. Returns the
+/// surviving node ids, ascending.
+inline std::vector<NodeId> BruteForceCore(const Graph& g, Count c) {
+  const NodeId n = g.num_nodes();
+  std::vector<bool> alive(n, true);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (NodeId u = 0; u < n; ++u) {
+      if (!alive[u]) continue;
+      Count degree = 0;
+      for (NodeId v : g.Neighbors(u)) degree += alive[v] ? 1 : 0;
+      if (degree < c) {
+        alive[u] = false;
+        changed = true;
+      }
+    }
+  }
+  std::vector<NodeId> core;
+  for (NodeId u = 0; u < n; ++u) {
+    if (alive[u]) core.push_back(u);
+  }
+  return core;
+}
+
 /// Small random simple graph via G(n, p) (deterministic per seed).
 inline Graph RandomGraph(NodeId n, double p, uint64_t seed) {
   Rng rng(seed);

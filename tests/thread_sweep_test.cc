@@ -6,11 +6,11 @@
 // with preprocessing both on and off, so the pooled solve is checked on
 // the peeled graph and on the unpeeled input alike.
 //
-// This is the contract the pool plumbing claims: the preprocessing peel,
-// GC/OPT's ordered enumeration reduction, OPT's per-component exact-MIS
-// solves and L/LP's heap passes must all be deterministic up to the last
-// byte regardless of scheduling (HG's sweep is serial; its pooled runs
-// exercise only the peel). OPT additionally runs under a
+// This is the contract the pool plumbing claims: GC/OPT's ordered
+// enumeration reduction, OPT's per-component exact-MIS solves and L/LP's
+// heap passes must all be deterministic up to the last byte regardless of
+// scheduling (preprocessing and HG's sweep are serial; HG's pooled runs
+// check that the pool changes nothing). OPT additionally runs under a
 // *branch budget* instead of a wall-clock deadline: whether an instance
 // aborts is then a property of the instance, not of timing, so even the
 // abort outcomes must agree across thread counts.

@@ -93,7 +93,7 @@ int Usage() {
                "                 (default 1; HG and per-update maintenance "
                "run serially)\n"
                "  solve:  --k=4 --method=HG|GC|L|LP|OPT [--out=path]\n"
-               "          [--no-preprocess] [--preprocess-reorder]\n"
+               "          [--no-preprocess]\n"
                "  verify: --solution=path\n"
                "  cover:  --k=5 --min-k=3 [--pairs]\n"
                "  match:  [--exact]\n"
@@ -145,11 +145,12 @@ std::unique_ptr<dkc::ThreadPool> MakePool(const dkc::Flags& flags) {
 }
 
 int RunStats(const dkc::Flags& flags, const dkc::Graph& g) {
+  // Under the degeneracy order the DAG's max out-degree is the degeneracy.
+  dkc::Dag dag(g, dkc::DegeneracyOrdering(g));
   std::printf("nodes %u\nedges %llu\nmax-degree %llu\ndegeneracy %llu\n",
               g.num_nodes(), static_cast<unsigned long long>(g.num_edges()),
               static_cast<unsigned long long>(g.MaxDegree()),
-              static_cast<unsigned long long>(dkc::Degeneracy(g)));
-  dkc::Dag dag(g, dkc::DegeneracyOrdering(g));
+              static_cast<unsigned long long>(dag.MaxOutDegree()));
   const auto pool = MakePool(flags);
   const int kmin = static_cast<int>(flags.GetInt("kmin", 3));
   const int kmax = static_cast<int>(flags.GetInt("kmax", 6));
@@ -175,7 +176,6 @@ int RunSolve(const dkc::Flags& flags, const dkc::Graph& g) {
   options.budget.time_ms = flags.GetDouble("budget-ms", 0);
   options.budget.memory_bytes = flags.GetInt("budget-mb", 0) * (1 << 20);
   options.preprocess = !flags.GetBool("no-preprocess", false);
-  options.preprocess_reorder = flags.GetBool("preprocess-reorder", false);
   const auto pool = MakePool(flags);
   options.pool = pool.get();
   auto result = dkc::Solve(g, options);
@@ -185,10 +185,9 @@ int RunSolve(const dkc::Flags& flags, const dkc::Graph& g) {
   }
   if (options.preprocess) {
     const dkc::PreprocessStats& pre = result->preprocess;
-    std::printf("preprocess%s: %u -> %u nodes, %llu -> %llu edges "
+    std::printf("preprocess: %u -> %u nodes, %llu -> %llu edges "
                 "(%u peeled, %llu edges peeled), %.1f ms\n",
-                pre.reordered ? " (reordered)" : "", pre.nodes_before,
-                pre.nodes_after,
+                pre.nodes_before, pre.nodes_after,
                 static_cast<unsigned long long>(pre.edges_before),
                 static_cast<unsigned long long>(pre.edges_after),
                 pre.peeled_nodes,
