@@ -180,8 +180,7 @@ void SolutionState::EnumerateCandidatesFor(
 }
 
 size_t SolutionState::RebuildCandidatesFor(uint32_t slot, UpdateWork* meter) {
-  return RebuildCandidatesFor(slot, kInvalidNode, kInvalidNode, meter)
-      .candidates;
+  return RebuildCandidatesFor(slot, {}, meter).candidates;
 }
 
 namespace {
@@ -208,7 +207,7 @@ void SolutionState::KillOwnedCandidates(uint32_t slot) {
 }
 
 SolutionState::RebuildOutcome SolutionState::RebuildCandidatesFor(
-    uint32_t slot, NodeId u, NodeId v, UpdateWork* meter) {
+    uint32_t slot, std::span<const Edge> probes, UpdateWork* meter) {
   KillOwnedCandidates(slot);
 
   RebuildOutcome outcome;
@@ -224,7 +223,8 @@ SolutionState::RebuildOutcome SolutionState::RebuildCandidatesFor(
   }
   for (const auto& nodes : found) {
     RegisterCandidate(nodes, slot);
-    if (u != kInvalidNode && !outcome.has_edge) {
+    for (size_t i = 0; i < probes.size() && !outcome.has_edge; ++i) {
+      const auto [u, v] = probes[i];
       outcome.has_edge =
           std::find(nodes.begin(), nodes.end(), u) != nodes.end() &&
           std::find(nodes.begin(), nodes.end(), v) != nodes.end();

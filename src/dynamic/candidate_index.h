@@ -28,6 +28,7 @@
 #include "clique/clique_store.h"
 #include "clique/neighborhood.h"
 #include "dynamic/update_work.h"
+#include "dynamic/workload.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "util/status.h"
@@ -102,14 +103,15 @@ class SolutionState {
   size_t RebuildCandidatesFor(uint32_t slot, UpdateWork* meter = nullptr);
 
   /// As above, additionally reporting whether any registered candidate
-  /// contains both `u` and `v` — the new-edge detection InsertEdge's
-  /// one-endpoint-free path needs, answered during registration instead of
-  /// by re-scanning CandidatesOf afterwards.
+  /// contains both endpoints of some edge in `probes` — the dynamic
+  /// driver's "did the new edge create a candidate here?" test, answered
+  /// during registration instead of by re-scanning CandidatesOf.
   struct RebuildOutcome {
     size_t candidates = 0;
     bool has_edge = false;
   };
-  RebuildOutcome RebuildCandidatesFor(uint32_t slot, NodeId u, NodeId v,
+  RebuildOutcome RebuildCandidatesFor(uint32_t slot,
+                                      std::span<const Edge> probes,
                                       UpdateWork* meter = nullptr);
 
   /// Algorithm 5 for the whole solution (never budgeted: the initial index

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 
 #include "clique/kclique.h"
 #include "core/verify.h"
@@ -184,218 +185,50 @@ std::vector<uint32_t> DynamicSolver::CollectOwnersOfNewCandidates(
   return owners;
 }
 
-void DynamicSolver::EnqueueOwnersOfNewCandidates(NodeId u, NodeId v,
-                                                 SwapQueue* queue,
-                                                 UpdateWork* meter) {
-  const std::vector<uint32_t> owners = CollectOwnersOfNewCandidates(u, v);
-  // The rebuilds register the new edge's candidates as a side effect and
-  // charge `meter` themselves (possibly truncated by its cap).
-  for (const uint32_t owner : owners) {
-    if (state_->RebuildCandidatesFor(owner, meter) > 0) {
-      queue->push_back(state_->RefOf(owner));
-    }
-  }
-}
-
-void DynamicSolver::FinishUpdate(const UpdateWork& meter,
-                                 const SwapStats& swaps) {
-  last_update_.work = meter.work;
-  last_update_.rebuild_cuts = meter.rebuild_cuts;
-  last_update_.swaps = swaps;
-  aborted_updates_ += last_update_.aborted() ? 1 : 0;
-  Accumulate(&swap_stats_, swaps);
-}
-
 Status DynamicSolver::InsertEdge(NodeId u, NodeId v) {
-  last_update_ = UpdateStats{};  // an errored call did no work
-  if (!state_->graph().InsertEdge(u, v)) {
-    return Status::InvalidArgument("edge already present (or u == v)");
-  }
-  ++updates_applied_;
-  state_->EnsureNodeCapacity(state_->graph().num_nodes());
-  UpdateWork meter = UpdateWork::FromBudget(update_budget_);
-
-  const uint32_t cu = state_->CliqueOf(u);
-  const uint32_t cv = state_->CliqueOf(v);
-  if (cu != SolutionState::kNoClique && cv != SolutionState::kNoClique) {
-    // Neither endpoint free: no candidate can use the edge (a candidate's
-    // non-free nodes come from one clique, and (u,v) inside one clique is
-    // impossible for a *new* edge). Nothing to do — Algorithm 6's silent
-    // case.
-    FinishUpdate(meter, SwapStats{});
-    return Status::OK();
-  }
-
-  SwapQueue queue;
-  SwapStats swaps;
-  if (cu != SolutionState::kNoClique || cv != SolutionState::kNoClique) {
-    // Exactly one endpoint free (lines 1-6): candidates through (u,v) can
-    // only belong to the non-free endpoint's clique. The rebuild itself
-    // reports whether the edge actually created a candidate there.
-    const uint32_t owner = cu != SolutionState::kNoClique ? cu : cv;
-    const auto rebuilt = state_->RebuildCandidatesFor(owner, u, v, &meter);
-    if (rebuilt.has_edge) {
-      queue.push_back(state_->RefOf(owner));
-      swaps = TrySwapLoop(state_.get(), &queue, &meter);
-    }
-    FinishUpdate(meter, swaps);
-    return Status::OK();
-  }
-
-  // Both endpoints free (lines 7-15).
-  std::vector<NodeId> clique;
-  if (FindFreeCliqueWithEdge(u, v, &clique)) {
-    // A brand-new all-free clique: add directly. AddSolutionClique kills
-    // every candidate (of any owner) that used the consumed nodes as free
-    // nodes — without that kill, a later DeleteEdge could pack a stale
-    // candidate into the solution and break disjointness (pinned by the
-    // StaleCandidate regression tests). No swapping is needed: every
-    // candidate of the new clique contains both u and v (any other
-    // combination was an all-free clique of the *pre-insert* graph,
-    // contradicting maximality), so no two of them are disjoint.
-    const uint32_t slot = state_->AddSolutionClique(clique);
-    state_->RebuildCandidatesFor(slot, &meter);
-    FinishUpdate(meter, SwapStats{});
-    return Status::OK();
-  }
-  EnqueueOwnersOfNewCandidates(u, v, &queue, &meter);
-  if (!queue.empty()) {
-    swaps = TrySwapLoop(state_.get(), &queue, &meter);
-  }
-  FinishUpdate(meter, swaps);
-  return Status::OK();
+  const UpdateOp op{true, {u, v}};
+  return Drive({&op, 1});
 }
 
 Status DynamicSolver::DeleteEdge(NodeId u, NodeId v) {
-  last_update_ = UpdateStats{};  // an errored call did no work
-  if (!state_->graph().DeleteEdge(u, v)) {
-    return Status::NotFound("edge does not exist");
-  }
-  ++updates_applied_;
-  UpdateWork meter = UpdateWork::FromBudget(update_budget_);
-  // Candidates through the edge are no longer cliques.
-  state_->KillCandidatesWithEdge(u, v);
-  meter.Charge(1);
+  const UpdateOp op{false, {u, v}};
+  return Drive({&op, 1});
+}
 
-  const uint32_t cu = state_->CliqueOf(u);
-  const uint32_t cv = state_->CliqueOf(v);
-  if (cu == SolutionState::kNoClique || cu != cv) {
-    FinishUpdate(meter, SwapStats{});
-    return Status::OK();  // lines 5-6: only candidates were affected
-  }
-
-  // Lines 1-4: the edge broke solution clique C. Replace it by the best
-  // disjoint packing of its surviving candidates (possibly empty), then let
-  // the swap loop chase follow-on opportunities. The repair itself is
-  // mandatory and runs to completion whatever the budget says; only the
-  // follow-on loop can be cut short.
-  auto replacement = PackDisjointCandidates(*state_, cu);
-  SwapQueue queue;
-  CommitReplacement(state_.get(), cu, replacement, &queue, &meter);
-  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter);
-  FinishUpdate(meter, swaps);
+Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
+  DKC_RETURN_IF_ERROR(Drive(ops));
+  if (ops.empty()) return Status::OK();  // no epoch, no publish
+  ++epoch_;
+  ++batches_applied_;
+  batched_updates_ += ops.size();
+  batch_dirty_rebuilds_ += last_batch_.dirty_slots;
+  PublishView();
   return Status::OK();
 }
 
-namespace {
-
-// Canonical 64-bit key of an undirected pair, for the batch validator's
-// simulated edge delta.
-uint64_t EdgeKey(NodeId u, NodeId v) {
-  const NodeId lo = std::min(u, v);
-  const NodeId hi = std::max(u, v);
-  return (static_cast<uint64_t>(lo) << 32) | hi;
+std::pair<DynamicSolver::DirtySet::Mark*, bool> DynamicSolver::DirtySet::Touch(
+    uint32_t slot) {
+  if (slot >= index_.size()) {
+    index_.resize(std::max<size_t>(slot + 1, 2 * index_.size()), kUnmarked);
+  }
+  const bool fresh = index_[slot] == kUnmarked;
+  if (fresh) {
+    if (used_ == marks_.size()) marks_.emplace_back();
+    Mark& mark = marks_[used_];
+    mark.slot = slot;
+    mark.active = true;
+    mark.want_any = false;
+    mark.probes.clear();
+    index_[slot] = static_cast<uint32_t>(used_++);
+  }
+  return {&marks_[index_[slot]], fresh};
 }
-
-// Per-epoch dirty-slot bookkeeping for ApplyBatch. A slot accumulates the
-// union of the reasons updates touched it; at the boundary it is rebuilt
-// once and enqueued for swapping iff any recorded reason fires — exactly
-// the enqueue rule the corresponding serial update path would have used:
-//
-//   * want_any: enqueue iff the rebuilt slot has any candidate (the rule
-//     of CommitReplacement and of the both-free insert's owner rebuilds);
-//   * probes:   enqueue iff some rebuilt candidate contains the probed
-//     edge (the has_edge rule of the one-endpoint-free insert);
-//   * neither ("rebuild only"): never enqueue (the direct-add insert —
-//     its candidates are pairwise intersecting, so no swap can gain).
-//
-// Marks are kept in first-mark order, which for a batch of one reproduces
-// the serial rebuild order verbatim; a slot that dies during staging is
-// deactivated so a reused slot index never inherits a dead clique's marks.
-class DirtySet {
- public:
-  struct Mark {
-    bool active = false;
-    bool want_any = false;
-    std::vector<Edge> probes;
-    size_t order = 0;  // position in order_ of the first (live) mark
-  };
-
-  /// Each returns true iff this created the slot's first live mark (the
-  /// per-update slots_marked accounting; repeats are the dedup win).
-  bool MarkRebuild(uint32_t slot) {
-    bool fresh = false;
-    Touch(slot, &fresh);
-    return fresh;
-  }
-  bool MarkWantAny(uint32_t slot) {
-    bool fresh = false;
-    Touch(slot, &fresh).want_any = true;
-    return fresh;
-  }
-  bool MarkProbe(uint32_t slot, Edge edge) {
-    bool fresh = false;
-    Touch(slot, &fresh).probes.push_back(edge);
-    return fresh;
-  }
-
-  /// The slot died during staging (its clique was removed); drop its
-  /// marks so a reused slot index starts clean.
-  void Deactivate(uint32_t slot) {
-    if (slot < marks_.size()) marks_[slot].active = false;
-  }
-
-  /// True iff the slot currently carries a live mark — i.e. some earlier
-  /// op of this epoch deferred a rebuild it still owes the slot.
-  bool IsActive(uint32_t slot) const {
-    return slot < marks_.size() && marks_[slot].active;
-  }
-
-  /// Visit live marks in first-mark order (re-marks after a death re-enter
-  /// at their new position).
-  template <typename F>
-  void ForEachActive(F&& f) const {
-    for (size_t i = 0; i < order_.size(); ++i) {
-      const uint32_t slot = order_[i];
-      const Mark& mark = marks_[slot];
-      if (mark.active && mark.order == i) f(slot, mark);
-    }
-  }
-
- private:
-  Mark& Touch(uint32_t slot, bool* fresh) {
-    if (slot >= marks_.size()) marks_.resize(slot + 1);
-    Mark& mark = marks_[slot];
-    *fresh = !mark.active;
-    if (!mark.active) {
-      mark = Mark{};  // wipe whatever a dead former occupant left behind
-      mark.active = true;
-      mark.order = order_.size();
-      order_.push_back(slot);
-    }
-    return mark;
-  }
-
-  std::vector<Mark> marks_;
-  std::vector<uint32_t> order_;
-};
-
-}  // namespace
 
 Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
   // Simulated edge delta over the live graph: op i must be valid on the
   // graph as left by ops 0..i-1 (catches intra-batch duplicates and
   // self-canceling pairs as well as conflicts with the current graph).
+  // The last op's effect is never read, so a one-op call builds no map.
   std::unordered_map<uint64_t, bool> delta;
   for (size_t i = 0; i < ops.size(); ++i) {
     const auto [u, v] = ops[i].edge;
@@ -403,48 +236,47 @@ Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
       return Status::InvalidArgument("batch op " + std::to_string(i) +
                                      ": self loop");
     }
-    const uint64_t key = EdgeKey(u, v);
+    const uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32) |
+                         std::max(u, v);
     const auto it = delta.find(key);
     const bool present =
         it != delta.end() ? it->second : state_->graph().HasEdge(u, v);
-    if (ops[i].is_insert) {
-      if (present) {
-        return Status::InvalidArgument("batch op " + std::to_string(i) +
-                                       ": edge already present");
-      }
-      delta[key] = true;
-    } else {
-      if (!present) {
-        return Status::NotFound("batch op " + std::to_string(i) +
-                                ": edge does not exist");
-      }
-      delta[key] = false;
+    if (ops[i].is_insert && present) {
+      return Status::InvalidArgument("batch op " + std::to_string(i) +
+                                     ": edge already present");
     }
+    if (!ops[i].is_insert && !present) {
+      return Status::NotFound("batch op " + std::to_string(i) +
+                              ": edge does not exist");
+    }
+    if (i + 1 < ops.size()) delta[key] = ops[i].is_insert;
   }
   return Status::OK();
 }
 
-Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
+Status DynamicSolver::Drive(std::span<const UpdateOp> ops) {
+  // Reset, keeping per_update's buffer: an errored call did no work.
+  auto per_update = std::move(last_batch_.per_update);
+  per_update.clear();
   last_batch_ = BatchStats{};
-  last_update_ = UpdateStats{};  // a rejected batch did no work
+  last_batch_.per_update = std::move(per_update);
   DKC_RETURN_IF_ERROR(ValidateBatch(ops));
-  if (ops.empty()) return Status::OK();  // no epoch, no publish
+  if (ops.empty()) return Status::OK();
 
-  // One meter for the whole epoch: the deterministic cap scales with the
-  // batch so a stream batched differently gets proportional maintenance,
-  // while the abort boundaries (swap pops, rebuild DFS branches) stay
-  // schedule-independent.
-  Budget epoch_budget = update_budget_;
-  if (epoch_budget.max_branch_nodes > 0) {
-    const uint64_t cap = epoch_budget.max_branch_nodes;
-    epoch_budget.max_branch_nodes =
+  // One meter for the whole call: the deterministic cap scales with the
+  // op count so a stream batched differently gets proportional
+  // maintenance, while the abort boundaries (swap pops, rebuild DFS
+  // branches) stay schedule-independent.
+  Budget budget = update_budget_;
+  if (budget.max_branch_nodes > 0) {
+    const uint64_t cap = budget.max_branch_nodes;
+    budget.max_branch_nodes =
         cap > UINT64_MAX / ops.size() ? UINT64_MAX : cap * ops.size();
   }
-  UpdateWork meter = UpdateWork::FromBudget(epoch_budget);
+  UpdateWork meter = UpdateWork::FromBudget(budget);
 
   // --- staging: mandatory structural work per op, rebuilds deferred ----
-  DirtySet dirty;
-  last_batch_.per_update.reserve(ops.size());
+  dirty_.Clear();
   for (const UpdateOp& op : ops) {
     BatchUpdateStats ustat;
     ustat.is_insert = op.is_insert;
@@ -453,107 +285,100 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
     const auto [u, v] = op.edge;
     if (op.is_insert) {
       ++last_batch_.inserts;
-      const bool inserted = state_->graph().InsertEdge(u, v);
-      (void)inserted;  // ValidateBatch guarantees it
+      state_->graph().InsertEdge(u, v);  // ValidateBatch guarantees it
       state_->EnsureNodeCapacity(state_->graph().num_nodes());
       const uint32_t cu = state_->CliqueOf(u);
       const uint32_t cv = state_->CliqueOf(v);
       if (cu != SolutionState::kNoClique && cv != SolutionState::kNoClique) {
-        // Algorithm 6's silent case — no candidate can use the edge.
+        // Algorithm 6's silent case: a candidate's non-free nodes come
+        // from one clique, and a *new* edge cannot lie inside one.
       } else if (cu != SolutionState::kNoClique ||
                  cv != SolutionState::kNoClique) {
-        // One endpoint free: only the non-free endpoint's clique can own
-        // candidates through (u,v). Whether it gained one is answered by
-        // the boundary rebuild (the probe).
+        // One endpoint free (lines 1-6): only the non-free endpoint's
+        // clique can own candidates through (u,v). Whether it gained one
+        // is answered by the boundary rebuild (the probe).
         const uint32_t owner = cu != SolutionState::kNoClique ? cu : cv;
-        ustat.slots_marked += dirty.MarkProbe(owner, op.edge) ? 1 : 0;
+        ustat.slots_marked += dirty_.MarkProbe(owner, op.edge) ? 1 : 0;
       } else {
+        // Both endpoints free (lines 7-15).
         std::vector<NodeId> clique;
         if (FindFreeCliqueWithEdge(u, v, &clique)) {
-          // Brand-new all-free clique: add directly (see InsertEdge for
-          // why no swap can follow), rebuild its candidates at the
-          // boundary.
+          // A brand-new all-free clique: add directly. AddSolutionClique
+          // kills every candidate (of any owner) that used the consumed
+          // nodes as free nodes — without that kill, a later delete could
+          // pack a stale candidate into the solution and break
+          // disjointness (the StaleCandidate regression tests). No swap
+          // can follow: every candidate of the new clique contains both u
+          // and v (any other was an all-free clique of the pre-insert
+          // graph, contradicting maximality), so no two are disjoint.
           const uint32_t slot = state_->AddSolutionClique(clique);
           ustat.direct_add = true;
-          ustat.slots_marked += dirty.MarkRebuild(slot) ? 1 : 0;
+          ustat.slots_marked += dirty_.MarkRebuild(slot) ? 1 : 0;
         } else {
           for (const uint32_t owner : CollectOwnersOfNewCandidates(u, v)) {
-            ustat.slots_marked += dirty.MarkWantAny(owner) ? 1 : 0;
+            ustat.slots_marked += dirty_.MarkWantAny(owner) ? 1 : 0;
           }
         }
       }
     } else {
       ++last_batch_.deletes;
-      const bool deleted = state_->graph().DeleteEdge(u, v);
-      (void)deleted;  // ValidateBatch guarantees it
+      state_->graph().DeleteEdge(u, v);  // ValidateBatch guarantees it
+      // Candidates through the edge are no longer cliques.
       state_->KillCandidatesWithEdge(u, v);
       meter.Charge(1);
       const uint32_t cu = state_->CliqueOf(u);
       const uint32_t cv = state_->CliqueOf(v);
       if (cu != SolutionState::kNoClique && cu == cv) {
-        // The edge broke solution clique C: mandatory repair, batched or
-        // not. The replacement's rebuilds join the epoch's dirty set.
+        // Lines 1-4: the edge broke solution clique C. Replace it by the
+        // best disjoint packing of its surviving candidates (possibly
+        // empty); the replacement's rebuilds join the dirty set. The
+        // repair is mandatory and runs whatever the budget says.
         ustat.repaired = true;
-        if (dirty.IsActive(cu)) {
-          // Earlier ops of this epoch deferred C's rebuild, so its indexed
-          // candidate set is stale — missing k-cliques the epoch's inserts
+        if (dirty_.IsActive(cu)) {
+          // Earlier ops of this call deferred C's rebuild, so its indexed
+          // candidate set is stale — missing k-cliques their inserts
           // created through C. The repair packs exactly that set, and the
           // maximality invariant rests on the packing being maximal over
           // C's *complete* candidates (a missed one goes all-free once C
           // dies and nothing ever materializes it). Settle the owed
-          // rebuild now; a batch of one can never mark the slot it
-          // repairs, so the unbatched equivalence is untouched.
+          // rebuild now; a one-op call never marks the slot it repairs.
           state_->RebuildCandidatesFor(cu, &meter);
         }
-        dirty.Deactivate(cu);
+        dirty_.Deactivate(cu);
         const auto replacement = PackDisjointCandidates(*state_, cu);
         for (const uint32_t slot :
              StageReplacement(state_.get(), cu, replacement)) {
-          ustat.slots_marked += dirty.MarkWantAny(slot) ? 1 : 0;
+          ustat.slots_marked += dirty_.MarkWantAny(slot) ? 1 : 0;
         }
       }
+      // Otherwise (lines 5-6) only candidates were affected.
     }
     ustat.staged_work = meter.work - work_before;
     last_batch_.per_update.push_back(ustat);
   }
 
   // --- boundary: one deduped rebuild pass, one swap loop --------------
-  SwapQueue queue;
   size_t dirty_slots = 0;
-  dirty.ForEachActive([&](uint32_t slot, const DirtySet::Mark& mark) {
+  for (const DirtySet::Mark& mark : dirty_.marks()) {
+    if (!mark.active) continue;
     ++dirty_slots;
-    const size_t count = state_->RebuildCandidatesFor(slot, &meter);
-    bool enqueue = mark.want_any && count > 0;
-    if (!enqueue && count > 0 && !mark.probes.empty()) {
-      for (const auto& cand : state_->CandidatesOf(slot)) {
-        for (const auto& [pu, pv] : mark.probes) {
-          const auto& nodes = cand.nodes;
-          if (std::find(nodes.begin(), nodes.end(), pu) != nodes.end() &&
-              std::find(nodes.begin(), nodes.end(), pv) != nodes.end()) {
-            enqueue = true;
-            break;
-          }
-        }
-        if (enqueue) break;
-      }
+    const auto rebuilt =
+        state_->RebuildCandidatesFor(mark.slot, mark.probes, &meter);
+    if ((mark.want_any && rebuilt.candidates > 0) || rebuilt.has_edge) {
+      queue_.push_back(state_->RefOf(mark.slot));
     }
-    if (enqueue) queue.push_back(state_->RefOf(slot));
-  });
-  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter);
+  }
+  const SwapStats swaps = TrySwapLoop(state_.get(), &queue_, &meter);
 
-  // --- finalize: stats, counters, publish ------------------------------
+  // --- stats and lifetime counters -------------------------------------
   last_batch_.updates = ops.size();
   last_batch_.dirty_slots = dirty_slots;
   last_batch_.work = meter.work;
   last_batch_.rebuild_cuts = meter.rebuild_cuts;
   last_batch_.swaps = swaps;
   updates_applied_ += ops.size();
-  ++epoch_;
-  ++batches_applied_;
-  batched_updates_ += ops.size();
-  batch_dirty_rebuilds_ += dirty_slots;
-  FinishUpdate(meter, swaps);  // the epoch aggregate, one epoch = one entry
-  PublishView();
+  aborted_updates_ += last_batch_.aborted() ? 1 : 0;
+  Accumulate(&swap_stats_, swaps);
   return Status::OK();
 }
 

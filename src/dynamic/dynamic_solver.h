@@ -25,18 +25,21 @@ struct DynamicOptions {
   /// Static method that seeds the initial solution.
   Method initial_method = Method::kLP;
   Budget initial_budget;
-  /// Per-update maintenance budget for InsertEdge/DeleteEdge: time_ms is a
-  /// wall-clock deadline per update (consulted at swap-pop boundaries),
-  /// max_branch_nodes a *deterministic* work cap (units: swap pops +
-  /// candidate rebuilds + DFS branch nodes entered during rebuild
-  /// enumerations). Exhaustion never corrupts the solution — structural
-  /// repair (broken-clique replacement, candidate kills) always runs, and
-  /// every indexed candidate stays valid; the growth-chasing swap loop is
-  /// cut at a pop boundary and an oversized rebuild enumeration at a DFS
-  /// branch boundary (the slot's candidate set may then be incomplete
-  /// until its next rebuild — see update_work.h). Both cuts are surfaced
-  /// through last_update_stats(). With a pure work cap the abort outcome
-  /// is byte-identical at every thread count. Zero fields = unlimited.
+  /// Per-update maintenance budget (an ApplyBatch epoch gets it times its
+  /// op count): time_ms is a wall-clock deadline (consulted at swap-pop
+  /// boundaries), max_branch_nodes a *deterministic* work cap (units: swap
+  /// pops + candidate rebuilds + DFS branch nodes entered during rebuild
+  /// enumerations). Exhaustion keeps the solution a valid disjoint set —
+  /// structural repair (broken-clique replacement, candidate kills) always
+  /// runs, and every indexed candidate stays valid; the growth-chasing
+  /// swap loop is cut at a pop boundary and an oversized rebuild
+  /// enumeration at a DFS branch boundary. But a cut rebuild leaves the
+  /// slot's candidate set incomplete until its next rebuild (see
+  /// update_work.h), and a later repair or swap that trusts that set can
+  /// miss an all-free k-clique: a budgeted run may end *non-maximal*, which
+  /// VerifySolution rejects. Both cuts are surfaced through
+  /// last_batch_stats(). With a pure work cap the abort outcome is
+  /// byte-identical at every thread count. Zero fields = unlimited.
   Budget update_budget;
   /// Worker pool for the initial build only: the static solve, node
   /// scoring and the candidate-index build (Algorithm 5). Every update runs
@@ -51,21 +54,7 @@ struct DynamicBuildStats {
   double index_ms = 0.0;  // Algorithm 5 over the whole solution (Table VII)
 };
 
-/// Outcome of the most recent InsertEdge/DeleteEdge (budget/abort
-/// accounting; the Status return carries only hard argument errors).
-struct UpdateStats {
-  uint64_t work = 0;  // deterministic units charged (see UpdateWork)
-  /// Rebuild enumerations the work cap truncated mid-DFS this update
-  /// (valid-but-incomplete candidate sets; see update_work.h).
-  uint64_t rebuild_cuts = 0;
-  SwapStats swaps;    // this update's swap activity
-
-  /// True iff update_budget truncated any of this update's maintenance —
-  /// the swap loop at a pop boundary or a rebuild mid-enumeration.
-  bool aborted() const { return swaps.aborted || rebuild_cuts > 0; }
-};
-
-/// Per-update slice of an ApplyBatch epoch (see BatchStats::per_update).
+/// Per-update slice of a call (see BatchStats::per_update).
 struct BatchUpdateStats {
   bool is_insert = false;
   Edge edge{0, 0};
@@ -82,25 +71,27 @@ struct BatchUpdateStats {
   bool repaired = false;
 };
 
-/// Outcome of the most recent ApplyBatch epoch: per-epoch aggregates (the
-/// epoch shares one deterministic UpdateWork meter, scaled to the batch
-/// size) plus the per-update breakdown. After an ApplyBatch the epoch
-/// aggregate is also folded into last_update_stats()/aborted_updates(),
-/// one epoch counting as one "update" there.
+/// Outcome of the most recent InsertEdge, DeleteEdge or ApplyBatch call
+/// (an unbatched update is a call of one op): per-call aggregates (the
+/// call shares one deterministic UpdateWork meter, scaled to its op count)
+/// plus the per-update breakdown. The Status return carries only argument
+/// errors; budget aborts are reported here.
 struct BatchStats {
   size_t updates = 0;
   size_t inserts = 0;
   size_t deletes = 0;
   /// Deduped boundary rebuild: dirty slots rebuilt once each,
-  /// however many updates in the epoch touched them. dirty_slots <
+  /// however many updates in the call touched them. dirty_slots <
   /// slots-marked-summed-over-updates is the measurable dedup win on
   /// bursty neighborhoods.
   size_t dirty_slots = 0;
-  uint64_t work = 0;          // whole-epoch meter total
+  uint64_t work = 0;          // whole-call meter total
   uint64_t rebuild_cuts = 0;  // boundary rebuilds the cap truncated
   SwapStats swaps;            // the boundary swap loop
   std::vector<BatchUpdateStats> per_update;
 
+  /// True iff update_budget truncated any of this call's maintenance —
+  /// the swap loop at a pop boundary or a rebuild mid-enumeration.
   bool aborted() const { return swaps.aborted || rebuild_cuts > 0; }
 };
 
@@ -130,11 +121,13 @@ class DynamicSolver {
   /// The engine state (exposed for the durable store's snapshot writer).
   const SolutionState& state() const { return *state_; }
 
-  /// Algorithm 6. Returns InvalidArgument if the edge already exists or
-  /// u == v. New node ids grow the graph.
+  /// Algorithm 6: ApplyBatch's driver on the one op, without its epoch
+  /// bump, batch counters or publish. Returns InvalidArgument if the edge
+  /// already exists or u == v. New node ids grow the graph.
   Status InsertEdge(NodeId u, NodeId v);
 
-  /// Algorithm 7. Returns NotFound if the edge does not exist.
+  /// Algorithm 7, as InsertEdge. Returns NotFound if the edge does not
+  /// exist.
   Status DeleteEdge(NodeId u, NodeId v);
 
   /// Epoch-batched apply — the high-throughput ingestion path. Validates
@@ -143,19 +136,20 @@ class DynamicSolver {
   /// *mandatory* structural effect is applied in stream order (graph
   /// mutation, candidate kills through deleted edges, broken-clique
   /// repair, direct adds of brand-new all-free cliques), while candidate
-  /// rebuilds are only *marked*; at the epoch boundary each dirty slot is
+  /// rebuilds are only *marked*; at the boundary each dirty slot is
   /// rebuilt exactly once, in first-mark order — the dedup win on bursty
-  /// streams — followed by one swap loop and an atomic SolutionView
-  /// publish.
+  /// streams — followed by one swap loop. InsertEdge/DeleteEdge run this
+  /// same driver on one op; ApplyBatch adds the epoch bump and an atomic
+  /// SolutionView publish.
   ///
   /// Determinism contract: batch boundaries are part of the stream. The
   /// epoch shares one UpdateWork meter whose deterministic cap scales to
   /// the batch (update_budget.max_branch_nodes × ops.size()) with the
   /// same schedule-independent abort boundaries, so for a fixed stream
   /// *and fixed batching* the outcome is byte-identical at any thread
-  /// count; ApplyBatch of a single op is byte-identical to the
-  /// corresponding InsertEdge/DeleteEdge. An empty batch is a no-op (no
-  /// epoch, no publish).
+  /// count, and a batch of one leaves the same state as the corresponding
+  /// InsertEdge/DeleteEdge. An empty batch is a no-op (no epoch, no
+  /// publish).
   Status ApplyBatch(std::span<const UpdateOp> ops);
 
   /// The batch-level precondition check ApplyBatch runs: each op must be
@@ -165,8 +159,9 @@ class DynamicSolver {
   /// before logging. Errors name the offending op index.
   Status ValidateBatch(std::span<const UpdateOp> ops) const;
 
-  /// Stats of the most recent successful ApplyBatch (reset to empty by an
-  /// errored call — no stale per-update entries survive a rejected batch).
+  /// Stats of the most recent InsertEdge/DeleteEdge/ApplyBatch call (reset
+  /// to empty by an errored call — no stale per-update entries survive a
+  /// rejected one).
   const BatchStats& last_batch_stats() const { return last_batch_; }
   /// Lifetime batched-ingestion counters: epochs applied, updates applied
   /// through them, and deduped dirty-slot rebuilds at their boundaries
@@ -185,9 +180,9 @@ class DynamicSolver {
   std::shared_ptr<const SolutionView> published_view() const {
     return publisher_->Current();
   }
-  /// Re-publish the current state under the current epoch. The unbatched
-  /// InsertEdge/DeleteEdge paths do not publish automatically; callers
-  /// mixing them with concurrent readers publish at their own boundaries.
+  /// Re-publish the current state under the current epoch. InsertEdge and
+  /// DeleteEdge never publish; callers mixing them with concurrent readers
+  /// publish at their own boundaries.
   void PublishView();
 
   NodeId solution_size() const { return state_->solution_size(); }
@@ -195,9 +190,8 @@ class DynamicSolver {
   const DynamicBuildStats& build_stats() const { return build_stats_; }
   const SwapStats& lifetime_swap_stats() const { return swap_stats_; }
 
-  /// Budget/abort outcome of the most recent update.
-  const UpdateStats& last_update_stats() const { return last_update_; }
-  /// Lifetime count of updates whose maintenance the budget truncated.
+  /// Lifetime count of calls (an unbatched update or an epoch) whose
+  /// maintenance the budget truncated.
   uint64_t aborted_updates() const { return aborted_updates_; }
   /// Entries (alive + stale) across the index's per-node candidate lists;
   /// bounded by compaction (see SolutionState::node_cand_ref_count).
@@ -238,18 +232,76 @@ class DynamicSolver {
   // The owners of would-be candidate cliques through the new edge (u,v) —
   // the exact Algorithm-6 lines 12-15 enumeration (both endpoints free, no
   // all-free clique found), sorted, deduped, dead slots dropped. Uncharged:
-  // the rebuilds it feeds carry the meter. Shared verbatim by the serial
-  // path and the batched staging so their dirty sets agree bit-for-bit.
+  // the boundary rebuilds it marks carry the meter.
   std::vector<uint32_t> CollectOwnersOfNewCandidates(NodeId u, NodeId v) const;
 
-  // Registers the owners of would-be candidate cliques through the new
-  // edge (u,v), charging `meter`, and pushes the ones that gained
-  // candidates to `queue` (Algorithm 6, lines 12-15).
-  void EnqueueOwnersOfNewCandidates(NodeId u, NodeId v, SwapQueue* queue,
-                                    UpdateWork* meter);
+  // The update driver behind InsertEdge, DeleteEdge and ApplyBatch:
+  // validate, stage every op, rebuild the dirty slots once, run one swap
+  // loop, record last_batch_ and the lifetime counters. No epoch, no
+  // publish.
+  Status Drive(std::span<const UpdateOp> ops);
 
-  // Folds one update's meter + swap outcome into the surfaced stats.
-  void FinishUpdate(const UpdateWork& meter, const SwapStats& swaps);
+  // Dirty-slot bookkeeping of one Drive call. A slot accumulates the union
+  // of the reasons its ops touched it; at the boundary it is rebuilt once
+  // and enqueued for swapping iff any recorded reason fires:
+  //   * want_any: iff the rebuilt slot has any candidate (the rule of
+  //     CommitReplacement and of the both-free insert's owner rebuilds);
+  //   * probes:   iff some rebuilt candidate contains a probed edge (the
+  //     one-endpoint-free insert: did the new edge create a candidate?);
+  //   * neither ("rebuild only"): never (the direct-add insert — its
+  //     candidates all contain the new edge, so no two are disjoint).
+  // Marks are kept in first-mark order; a slot that dies during staging is
+  // deactivated so a reused slot index never inherits a dead clique's
+  // marks. The buffers live across calls: marking allocates nothing in
+  // steady state and costs O(1), not O(slot id).
+  class DirtySet {
+   public:
+    struct Mark {
+      uint32_t slot = 0;
+      bool active = false;
+      bool want_any = false;
+      std::vector<Edge> probes;
+    };
+
+    // Each returns true iff this created the slot's first live mark (the
+    // per-update slots_marked accounting; repeats are the dedup win).
+    bool MarkRebuild(uint32_t slot) { return Touch(slot).second; }
+    bool MarkWantAny(uint32_t slot) {
+      const auto [mark, fresh] = Touch(slot);
+      mark->want_any = true;
+      return fresh;
+    }
+    bool MarkProbe(uint32_t slot, Edge edge) {
+      const auto [mark, fresh] = Touch(slot);
+      mark->probes.push_back(edge);
+      return fresh;
+    }
+    // True iff some earlier op of this call deferred a rebuild it still
+    // owes the slot.
+    bool IsActive(uint32_t slot) const {
+      return slot < index_.size() && index_[slot] != kUnmarked;
+    }
+    // The slot died during staging; a later mark re-enters at the end.
+    void Deactivate(uint32_t slot) {
+      if (!IsActive(slot)) return;
+      marks_[index_[slot]].active = false;
+      index_[slot] = kUnmarked;
+    }
+    // This call's marks in first-mark order; skip the inactive ones.
+    std::span<const Mark> marks() const { return {marks_.data(), used_}; }
+    void Clear() {
+      for (size_t i = 0; i < used_; ++i) index_[marks_[i].slot] = kUnmarked;
+      used_ = 0;
+    }
+
+   private:
+    static constexpr uint32_t kUnmarked = UINT32_MAX;
+    std::pair<Mark*, bool> Touch(uint32_t slot);
+
+    std::vector<uint32_t> index_;  // slot -> position in marks_
+    std::vector<Mark> marks_;      // [0, used_) belong to the current call
+    size_t used_ = 0;
+  };
 
   std::unique_ptr<SolutionState> state_;  // stable address for internals
   DynamicBuildStats build_stats_;
@@ -258,8 +310,10 @@ class DynamicSolver {
   // readers hold the publisher, not the solver.
   std::unique_ptr<SolutionPublisher> publisher_;
   SwapStats swap_stats_;
-  UpdateStats last_update_;
   BatchStats last_batch_;
+  // Drive's scratch, reused so a one-op call allocates none of it.
+  DirtySet dirty_;
+  SwapQueue queue_;
   uint64_t aborted_updates_ = 0;
   uint64_t updates_applied_ = 0;
   uint64_t epoch_ = 0;

@@ -169,14 +169,7 @@ Status DurableStore::Apply(const UpdateOp& op) {
   const auto [u, v] = op.edge;
   // Validate against the live graph before logging: the WAL must contain
   // only records that replay cleanly.
-  if (op.is_insert) {
-    if (u == v) return Status::InvalidArgument("self loop");
-    if (solver_->graph().HasEdge(u, v)) {
-      return Status::InvalidArgument("edge already present");
-    }
-  } else if (!solver_->graph().HasEdge(u, v)) {
-    return Status::NotFound("edge does not exist");
-  }
+  DKC_RETURN_IF_ERROR(solver_->ValidateBatch({&op, 1}));
 
   WalRecord rec;
   rec.seq = applied_seq_ + 1;

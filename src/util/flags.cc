@@ -21,6 +21,12 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+std::vector<std::string> Flags::Names() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 bool Flags::Has(const std::string& name) const {
   return values_.count(name) != 0;
 }

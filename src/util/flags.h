@@ -25,6 +25,8 @@ class Flags {
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
+  /// Every `--name` given, in sorted order.
+  std::vector<std::string> Names() const;
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program_name() const { return program_name_; }
 

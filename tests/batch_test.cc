@@ -223,7 +223,7 @@ TEST(BatchTest, InvalidBatchesAreRejectedAtomically) {
     EXPECT_EQ(solver->index_size(), index_before);
     EXPECT_EQ(solver->last_batch_stats().updates, 0u);
     EXPECT_EQ(solver->last_batch_stats().per_update.size(), 0u);
-    EXPECT_EQ(solver->last_update_stats().work, 0u);
+    EXPECT_EQ(solver->last_batch_stats().work, 0u);
     std::string error;
     ASSERT_TRUE(solver->CheckInvariants(&error)) << error;
   }

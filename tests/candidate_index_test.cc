@@ -174,23 +174,29 @@ TEST(SolutionStateTest, PooledIndexBuildMatchesSerialExactly) {
 }
 
 TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
-  // Satellite 3: the rebuild answers "did (u,v) create a candidate here?"
-  // during registration, replacing InsertEdge's CandidatesOf re-scan.
+  // The rebuild answers "did a probed edge create a candidate here?"
+  // during registration, replacing a CandidatesOf re-scan.
   Graph g = PaperFig5G2();
   SolutionState state = Fig5State(g);
   const uint32_t c1 = state.CliqueOf(2);
   // Candidate (v5,v6,v7) = (4,5,6) goes through edge (4,6); (v1,v2) = (0,1)
   // only appears in candidate (0,1,2).
-  auto outcome = state.RebuildCandidatesFor(c1, 4, 6);
+  const auto rebuild = [&](std::vector<Edge> probes) {
+    return state.RebuildCandidatesFor(c1, probes);
+  };
+  auto outcome = rebuild({{4, 6}});
   EXPECT_EQ(outcome.candidates, 2u);
   EXPECT_TRUE(outcome.has_edge);
-  outcome = state.RebuildCandidatesFor(c1, 0, 1);
+  outcome = rebuild({{0, 1}});
   EXPECT_EQ(outcome.candidates, 2u);
   EXPECT_TRUE(outcome.has_edge);
   // (v1, v6) = (0, 5): no candidate contains both.
-  outcome = state.RebuildCandidatesFor(c1, 0, 5);
+  outcome = rebuild({{0, 5}});
   EXPECT_EQ(outcome.candidates, 2u);
   EXPECT_FALSE(outcome.has_edge);
+  // Any one hit among several probes reports the edge; none probes none.
+  EXPECT_TRUE(rebuild({{0, 5}, {4, 6}}).has_edge);
+  EXPECT_FALSE(rebuild({}).has_edge);
   // The count-only overload agrees.
   EXPECT_EQ(state.RebuildCandidatesFor(c1), 2u);
 }

@@ -363,10 +363,10 @@ TEST(DynamicSolverTest, UpdateBudgetAbortIsSurfacedAndSolutionStaysValid) {
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
   ASSERT_EQ(solver->solution_size(), 2u);
   ASSERT_TRUE(solver->InsertEdge(4, 6).ok());
-  EXPECT_TRUE(solver->last_update_stats().aborted());
+  EXPECT_TRUE(solver->last_batch_stats().aborted());
   EXPECT_EQ(solver->aborted_updates(), 1u);
-  EXPECT_GE(solver->last_update_stats().work, 1u);
-  EXPECT_EQ(solver->last_update_stats().swaps.commits, 0u);
+  EXPECT_GE(solver->last_batch_stats().work, 1u);
+  EXPECT_EQ(solver->last_batch_stats().swaps.commits, 0u);
   EXPECT_EQ(solver->solution_size(), 2u);  // growth skipped, not corrupted
   std::string error;
   EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
@@ -378,27 +378,61 @@ TEST(DynamicSolverTest, UnlimitedBudgetNeverAborts) {
   auto solver = Fig5Solver(Opts(3));
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
   ASSERT_TRUE(solver->InsertEdge(4, 6).ok());
-  EXPECT_FALSE(solver->last_update_stats().aborted());
+  EXPECT_FALSE(solver->last_batch_stats().aborted());
   EXPECT_EQ(solver->aborted_updates(), 0u);
-  EXPECT_EQ(solver->last_update_stats().swaps.commits, 1u);
-  EXPECT_GT(solver->last_update_stats().work, 0u);
+  EXPECT_EQ(solver->last_batch_stats().swaps.commits, 1u);
+  EXPECT_GT(solver->last_batch_stats().work, 0u);
   EXPECT_EQ(solver->solution_size(), 3u);
 }
 
 TEST(DynamicSolverTest, ErroredUpdatesResetLastUpdateStats) {
-  // last_update_stats() describes the *most recent call*: a rejected
+  // last_batch_stats() describes the *most recent call*: a rejected
   // duplicate-insert or missing-delete must not leave the previous
-  // update's work/abort outcome dangling.
+  // update's work/abort outcome or per-update entry dangling.
   auto solver = Fig5Solver(Opts(3));
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
   ASSERT_TRUE(solver->InsertEdge(4, 6).ok());
-  ASSERT_GT(solver->last_update_stats().work, 0u);
+  ASSERT_GT(solver->last_batch_stats().work, 0u);
+  ASSERT_EQ(solver->last_batch_stats().per_update.size(), 1u);
   EXPECT_FALSE(solver->InsertEdge(4, 6).ok());  // duplicate
-  EXPECT_EQ(solver->last_update_stats().work, 0u);
-  EXPECT_EQ(solver->last_update_stats().swaps.commits, 0u);
+  EXPECT_EQ(solver->last_batch_stats().work, 0u);
+  EXPECT_EQ(solver->last_batch_stats().swaps.commits, 0u);
+  EXPECT_EQ(solver->last_batch_stats().updates, 0u);
+  EXPECT_TRUE(solver->last_batch_stats().per_update.empty());
   EXPECT_FALSE(solver->DeleteEdge(0, 7).ok());  // no such edge
-  EXPECT_EQ(solver->last_update_stats().work, 0u);
-  EXPECT_FALSE(solver->last_update_stats().aborted());
+  EXPECT_EQ(solver->last_batch_stats().work, 0u);
+  EXPECT_FALSE(solver->last_batch_stats().aborted());
+  EXPECT_TRUE(solver->last_batch_stats().per_update.empty());
+}
+
+TEST(DynamicSolverTest, UnbatchedUpdatesRecordOneOpAndNeverPublish) {
+  // InsertEdge/DeleteEdge are ApplyBatch's driver on one op without the
+  // epoch bump, the batch counters and the publish: readers keep the
+  // build's view until the caller publishes.
+  auto solver = Fig5Solver(Opts(3));
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  const auto view = solver->published_view();
+  const UpdateOp ops[] = {{true, {4, 6}}, {false, {4, 6}}};
+  for (const UpdateOp& op : ops) {
+    const auto [u, v] = op.edge;
+    ASSERT_TRUE(
+        (op.is_insert ? solver->InsertEdge(u, v) : solver->DeleteEdge(u, v))
+            .ok());
+    EXPECT_EQ(solver->epoch(), 0u);
+    EXPECT_EQ(solver->batches_applied(), 0u);
+    EXPECT_EQ(solver->batched_updates_applied(), 0u);
+    EXPECT_EQ(solver->published_view(), view);
+    const BatchStats& stats = solver->last_batch_stats();
+    EXPECT_EQ(stats.updates, 1u);
+    EXPECT_EQ(stats.inserts + stats.deletes, 1u);
+    ASSERT_EQ(stats.per_update.size(), 1u);
+    EXPECT_EQ(stats.per_update[0].is_insert, op.is_insert);
+    EXPECT_EQ(stats.per_update[0].edge, op.edge);
+  }
+  solver->PublishView();
+  EXPECT_NE(solver->published_view(), view);
+  EXPECT_EQ(solver->published_view()->epoch, 0u);
+  EXPECT_EQ(solver->published_view()->updates_applied, 2u);
 }
 
 // Satellite-2 regression: long delete-heavy streams used to grow stale refs

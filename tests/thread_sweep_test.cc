@@ -206,9 +206,11 @@ StreamTrace RunStream(const Graph& initial, const std::vector<UpdateOp>& ops,
         op.is_insert ? solver->InsertEdge(op.edge.first, op.edge.second)
                      : solver->DeleteEdge(op.edge.first, op.edge.second);
     EXPECT_TRUE(status.ok()) << status.ToString();
-    trace.aborted.push_back(solver->last_update_stats().aborted() ? 1 : 0);
-    trace.work.push_back(solver->last_update_stats().work);
-    trace.rebuild_cuts.push_back(solver->last_update_stats().rebuild_cuts);
+    const BatchStats& stats = solver->last_batch_stats();
+    EXPECT_EQ(stats.updates, 1u);
+    trace.aborted.push_back(stats.aborted() ? 1 : 0);
+    trace.work.push_back(stats.work);
+    trace.rebuild_cuts.push_back(stats.rebuild_cuts);
     if (++step % batch == 0) {
       trace.snapshots.push_back(ToVectors(solver->Snapshot()));
     }

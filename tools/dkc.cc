@@ -15,8 +15,10 @@
 //              [--batch=N] [--hot=H]
 //       dynamic maintenance over a synthetic mixed insert/delete stream,
 //       reporting per-update latency, swap activity, and budget aborts.
-//       --batch=N ingests through the epoch-batched path (N updates per
-//       ApplyBatch epoch, deduped rebuilds, updates/sec + dedup stats);
+//       Each update is one InsertEdge/DeleteEdge call (the update driver on
+//       one op, unpublished); --batch=N feeds the same driver N updates per
+//       ApplyBatch epoch (deduped rebuilds, a view publish per epoch, plus
+//       dedup stats);
 //       --hot=H switches to a bursty stream concentrated on the H hottest
 //       nodes' neighborhoods — the workload where batching dedups most.
 //   dkc serve --snapshot=s.bin --wal=s.wal --file=edges.txt --k=3
@@ -44,7 +46,7 @@
 // methods' scoring, listing and MIS passes, and the dynamic engine's
 // initial solve, scoring and index build) across n worker threads; HG's
 // sweep and the per-update maintenance stay serial. Solutions are byte-identical at any
-// thread count.
+// thread count. A flag the subcommand does not take is refused (exit 2).
 
 #include <algorithm>
 #include <atomic>
@@ -53,9 +55,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <span>
 #include <sstream>
@@ -300,33 +304,24 @@ int RunUpdate(const dkc::Flags& flags, const dkc::Graph& g) {
   dkc::Timer timer;
   uint64_t total_work = 0;
   uint64_t total_rebuild_cuts = 0;
-  if (batch >= 1) {
-    // Epoch-batched ingestion: chunks of --batch updates per ApplyBatch.
-    const size_t n = static_cast<size_t>(batch);
-    const std::span<const dkc::UpdateOp> all(ops);
-    for (size_t i = 0; i < all.size(); i += n) {
-      const dkc::Status status =
-          solver->ApplyBatch(all.subspan(i, std::min(n, all.size() - i)));
-      if (!status.ok()) {
-        std::fprintf(stderr, "batch at op %zu: %s\n", i,
-                     status.ToString().c_str());
-        return 1;
-      }
-      total_work += solver->last_batch_stats().work;
-      total_rebuild_cuts += solver->last_batch_stats().rebuild_cuts;
+  // --batch=N: chunks of N updates per ApplyBatch epoch; otherwise one
+  // unpublished InsertEdge/DeleteEdge call per update.
+  const size_t n = batch >= 1 ? static_cast<size_t>(batch) : 1;
+  const std::span<const dkc::UpdateOp> all(ops);
+  for (size_t i = 0; i < all.size(); i += n) {
+    const auto chunk = all.subspan(i, std::min(n, all.size() - i));
+    const auto [u, v] = chunk[0].edge;
+    const dkc::Status status =
+        batch >= 1            ? solver->ApplyBatch(chunk)
+        : chunk[0].is_insert ? solver->InsertEdge(u, v)
+                             : solver->DeleteEdge(u, v);
+    if (!status.ok()) {
+      std::fprintf(stderr, "update at op %zu: %s\n", i,
+                   status.ToString().c_str());
+      return 1;
     }
-  } else {
-    for (const auto& op : ops) {
-      const dkc::Status status =
-          op.is_insert ? solver->InsertEdge(op.edge.first, op.edge.second)
-                       : solver->DeleteEdge(op.edge.first, op.edge.second);
-      if (!status.ok()) {
-        std::fprintf(stderr, "update: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      total_work += solver->last_update_stats().work;
-      total_rebuild_cuts += solver->last_update_stats().rebuild_cuts;
-    }
+    total_work += solver->last_batch_stats().work;
+    total_rebuild_cuts += solver->last_batch_stats().rebuild_cuts;
   }
   const double total_ms = timer.ElapsedMillis();
   const auto& swaps = solver->lifetime_swap_stats();
@@ -869,6 +864,35 @@ int main(int argc, char** argv) {
   dkc::Flags flags(argc, argv);
   if (flags.positional().empty()) return Usage();
   const std::string command = flags.positional()[0];
+
+  // Every flag must belong to the subcommand (or be a common one): a
+  // misspelled option would otherwise run with its default silently.
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"stats", {"kmin", "kmax"}},
+      {"solve", {"k", "method", "out", "no-preprocess", "budget-ms",
+                 "budget-mb"}},
+      {"verify", {"solution"}},
+      {"cover", {"k", "min-k", "pairs"}},
+      {"match", {"exact"}},
+      {"update", {"k", "updates", "update-budget-ms", "update-branch-budget",
+                  "batch", "hot"}},
+      {"serve", {"snapshot", "wal", "k", "update-budget-ms",
+                 "update-branch-budget", "churn", "updates-from",
+                 "checkpoint-every", "no-sync", "crash-after", "no-skip",
+                 "batch", "readers", "top", "crash-in-commit-window",
+                 "keep-snapshots", "inject-fault", "reopen-max-attempts",
+                 "reopen-backoff-ms"}},
+  };
+  const auto known = kFlags.find(command);
+  if (known == kFlags.end()) return Usage();
+  for (const std::string& name : flags.Names()) {
+    if (known->second.count(name) == 0 && name != "file" && name != "ws" &&
+        name != "seed" && name != "threads") {
+      std::fprintf(stderr, "dkc %s: unknown flag --%s\n", command.c_str(),
+                   name.c_str());
+      return Usage();
+    }
+  }
 
   auto graph = LoadGraph(flags);
   if (!graph.ok()) {
