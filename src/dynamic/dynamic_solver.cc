@@ -225,22 +225,17 @@ std::pair<DynamicSolver::DirtySet::Mark*, bool> DynamicSolver::DirtySet::Touch(
 }
 
 Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
-  // Simulated edge delta over the live graph: op i must be valid on the
-  // graph as left by ops 0..i-1 (catches intra-batch duplicates and
-  // self-canceling pairs as well as conflicts with the current graph).
-  // The last op's effect is never read, so a one-op call builds no map.
-  std::unordered_map<uint64_t, bool> delta;
-  for (size_t i = 0; i < ops.size(); ++i) {
+  // Op i must be valid on the graph as left by ops 0..i-1. A simulated
+  // edge delta over the live graph carries their effect (intra-batch
+  // duplicates, self-canceling pairs); a one-op call builds none.
+  const auto check = [&](size_t i, const bool* simulated) -> Status {
     const auto [u, v] = ops[i].edge;
     if (u == v) {
       return Status::InvalidArgument("batch op " + std::to_string(i) +
                                      ": self loop");
     }
-    const uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32) |
-                         std::max(u, v);
-    const auto it = delta.find(key);
     const bool present =
-        it != delta.end() ? it->second : state_->graph().HasEdge(u, v);
+        simulated != nullptr ? *simulated : state_->graph().HasEdge(u, v);
     if (ops[i].is_insert && present) {
       return Status::InvalidArgument("batch op " + std::to_string(i) +
                                      ": edge already present");
@@ -249,7 +244,17 @@ Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
       return Status::NotFound("batch op " + std::to_string(i) +
                               ": edge does not exist");
     }
-    if (i + 1 < ops.size()) delta[key] = ops[i].is_insert;
+    return Status::OK();
+  };
+  if (ops.size() == 1) return check(0, nullptr);
+  std::unordered_map<uint64_t, bool> delta;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const auto [u, v] = ops[i].edge;
+    const uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32) |
+                         std::max(u, v);
+    const auto it = delta.find(key);
+    DKC_RETURN_IF_ERROR(check(i, it != delta.end() ? &it->second : nullptr));
+    delta[key] = ops[i].is_insert;
   }
   return Status::OK();
 }
